@@ -16,9 +16,7 @@ use crate::pipeline::{DomainResult, SurveyorOutput};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use surveyor_extract::{
-    EvidenceEntry, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceEntry, ProvenanceTable,
-};
+use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceTable};
 use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
 use surveyor_model::{ConvergenceReason, Decision, EmFit, ModelDecision, ModelParams};
 use surveyor_wire::{
@@ -236,51 +234,46 @@ pub fn output_from_snapshot(snapshot: &Snapshot) -> Result<SurveyorOutput, Snaps
         ));
     }
 
-    // Re-intern the property table; indexes on the wire become ids here.
-    let resolved: Vec<Property> = snapshot
+    // Re-intern the property table once; indexes on the wire become ids
+    // here, and evidence and provenance rows are keyed by those ids.
+    let property_ids: Vec<PropertyId> = snapshot
         .properties
         .iter()
         .map(|p| {
             let adverbs: Vec<&str> = p.adverbs.iter().map(String::as_str).collect();
-            Property::with_adverbs(&adverbs, &p.adjective)
+            PropertyId::intern(&Property::with_adverbs(&adverbs, &p.adjective))
         })
         .collect();
-    let property_ids: Vec<PropertyId> = resolved.iter().map(PropertyId::intern).collect();
 
-    let mut evidence_entries = Vec::with_capacity(snapshot.evidence.len());
+    let mut evidence_rows = Vec::with_capacity(snapshot.evidence.len());
     for row in &snapshot.evidence {
         if u64::from(row.entity) >= entity_count {
             return Err(SnapshotError::Corrupt("evidence entity out of range"));
         }
-        let Some(property) = resolved.get(row.property as usize) else {
+        let Some(&property) = property_ids.get(row.property as usize) else {
             return Err(SnapshotError::Corrupt("evidence property out of range"));
         };
-        evidence_entries.push(EvidenceEntry {
-            entity: EntityId(row.entity),
-            property: property.clone(),
-            positive: row.positive,
-            negative: row.negative,
-        });
+        evidence_rows.push((
+            EntityId(row.entity),
+            property,
+            EvidenceCounts::new(row.positive, row.negative),
+        ));
     }
-    let evidence = EvidenceTable::from_entries(evidence_entries);
+    let evidence = EvidenceTable::from_id_rows(evidence_rows);
 
     let sample_size = usize::try_from(snapshot.provenance_sample_size)
         .map_err(|_| SnapshotError::Corrupt("provenance sample size out of range"))?;
-    let mut provenance_entries = Vec::with_capacity(snapshot.provenance.len());
+    let mut provenance_rows = Vec::with_capacity(snapshot.provenance.len());
     for row in &snapshot.provenance {
         if u64::from(row.entity) >= entity_count {
             return Err(SnapshotError::Corrupt("provenance entity out of range"));
         }
-        let Some(property) = resolved.get(row.property as usize) else {
+        let Some(&property) = property_ids.get(row.property as usize) else {
             return Err(SnapshotError::Corrupt("provenance property out of range"));
         };
-        provenance_entries.push(ProvenanceEntry {
-            entity: EntityId(row.entity),
-            property: property.clone(),
-            documents: row.documents.clone(),
-        });
+        provenance_rows.push((EntityId(row.entity), property, row.documents.clone()));
     }
-    let provenance = ProvenanceTable::from_entries(sample_size, provenance_entries);
+    let provenance = ProvenanceTable::from_id_rows(sample_size, provenance_rows);
 
     let grouped = GroupedEvidence::from_table(&evidence, &kb);
 
@@ -502,10 +495,31 @@ mod tests {
         );
 
         let mut bad = good.clone();
+        bad.evidence[0].entity = 1_000;
+        assert_eq!(
+            output_from_snapshot(&bad).err(),
+            Some(SnapshotError::Corrupt("evidence entity out of range"))
+        );
+
+        let mut bad = good.clone();
         bad.evidence[0].property = 99;
         assert_eq!(
             output_from_snapshot(&bad).err(),
             Some(SnapshotError::Corrupt("evidence property out of range"))
+        );
+
+        let mut bad = good.clone();
+        bad.provenance[0].entity = 1_000;
+        assert_eq!(
+            output_from_snapshot(&bad).err(),
+            Some(SnapshotError::Corrupt("provenance entity out of range"))
+        );
+
+        let mut bad = good.clone();
+        bad.provenance[0].property = 99;
+        assert_eq!(
+            output_from_snapshot(&bad).err(),
+            Some(SnapshotError::Corrupt("provenance property out of range"))
         );
 
         let mut bad = good.clone();

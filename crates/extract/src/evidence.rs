@@ -190,15 +190,28 @@ impl EvidenceTable {
 
     /// Rebuilds a table from persisted entries.
     pub fn from_entries(entries: Vec<EvidenceEntry>) -> Self {
+        Self::from_id_rows(entries.into_iter().map(|entry| {
+            (
+                entry.entity,
+                PropertyId::intern(&entry.property),
+                EvidenceCounts::new(entry.positive, entry.negative),
+            )
+        }))
+    }
+
+    /// Rebuilds a table from rows whose properties are already interned,
+    /// merging duplicate pairs like [`from_entries`](Self::from_entries).
+    pub fn from_id_rows(
+        rows: impl IntoIterator<Item = (EntityId, PropertyId, EvidenceCounts)>,
+    ) -> Self {
         let mut table = Self::new();
-        for entry in entries {
-            let counts = table
+        for (entity, property, counts) in rows {
+            table
                 .map
-                .entry((entry.entity, PropertyId::intern(&entry.property)))
-                .or_default();
-            counts.positive += entry.positive;
-            counts.negative += entry.negative;
-            table.statements += entry.positive + entry.negative;
+                .entry((entity, property))
+                .or_default()
+                .merge(counts);
+            table.statements += counts.total();
         }
         table
     }

@@ -106,11 +106,26 @@ impl ProvenanceTable {
     /// Rebuilds a table from an entry list, re-interning the properties in
     /// this process. Inverse of [`to_entries`](Self::to_entries).
     pub fn from_entries(sample_size: usize, entries: Vec<ProvenanceEntry>) -> Self {
+        Self::from_id_rows(
+            sample_size,
+            entries
+                .into_iter()
+                .map(|e| (e.entity, PropertyId::intern(&e.property), e.documents)),
+        )
+    }
+
+    /// Rebuilds a table from rows whose properties are already interned;
+    /// a later row for the same pair replaces an earlier one, as in
+    /// [`from_entries`](Self::from_entries).
+    pub fn from_id_rows(
+        sample_size: usize,
+        rows: impl IntoIterator<Item = (EntityId, PropertyId, Vec<u64>)>,
+    ) -> Self {
         Self {
             sample_size: sample_size.max(1),
-            map: entries
+            map: rows
                 .into_iter()
-                .map(|e| ((e.entity, PropertyId::intern(&e.property)), e.documents))
+                .map(|(entity, property, documents)| ((entity, property), documents))
                 .collect(),
         }
     }

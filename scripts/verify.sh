@@ -97,7 +97,8 @@ done
 # Serve gate: boot the fault-hardened query server on the snapshot the
 # gate above just mined and drive it over bash's /dev/tcp (no curl in
 # the image): a known-answer query (cities/seed 5 is deterministic, so
-# the verdict is pinned), a corrupt hot reload that must be rejected
+# the verdict is pinned), its ASCII-case-folded twin and an /entity top-k
+# read (both answered by the store's entity index), a corrupt hot reload that must be rejected
 # while queries keep answering on the old generation, and a graceful
 # shutdown that must exit 0 with the drain summary printed.
 serve_http() { # method path -> full reply on stdout
@@ -121,6 +122,13 @@ done
 [ -n "$SERVE_PORT" ] || { echo "serve gate: server did not boot" >&2; exit 1; }
 serve_http GET '/decide/Los%20Angeles/big' | grep -q '"positive": true' \
     || { echo "serve gate: known-answer query failed" >&2; exit 1; }
+serve_http GET '/decide/los%20angeles/big' | grep -q '"positive": true' \
+    || { echo "serve gate: case-folded known-answer query failed" >&2; exit 1; }
+ENTITY_REPLY=$(serve_http GET '/entity/Los%20Angeles?k=3')
+echo "$ENTITY_REPLY" | grep -q '^HTTP/1.1 200' \
+    || { echo "serve gate: entity top-k query failed" >&2; exit 1; }
+echo "$ENTITY_REPLY" | grep -q '"property": "big"' \
+    || { echo "serve gate: entity top-k is missing big" >&2; exit 1; }
 serve_http POST "/ctl/reload?path=artifacts/truncated.swire" | grep -q '^HTTP/1.1 422' \
     || { echo "serve gate: corrupt reload was not rejected" >&2; exit 1; }
 serve_http GET '/decide/Los%20Angeles/big' | grep -q '"positive": true' \
