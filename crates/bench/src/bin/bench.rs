@@ -51,9 +51,8 @@
 //! a delta-size sweep on a fixed corpus (update time must track the
 //! delta, every update byte-identical to the from-scratch mine), a
 //! corpus-size sweep at fixed delta, 1/2/4/8-thread byte-identity, a
-//! seeded chaos quarantine-then-replay convergence check, and the
-//! opt-in seeded warm-start mode, written to `BENCH_incremental.json`
-//! (schema-validated before writing). `--quick` shrinks the corpus.
+//! and a seeded chaos quarantine-then-replay convergence check, written
+//! to `BENCH_incremental.json` (schema-validated before writing). `--quick` shrinks the corpus.
 //! `--assert-delta-scaling` exits nonzero unless every ≤10% delta ran
 //! at least 5x faster than from-scratch and every byte-identity held.
 //!
@@ -628,6 +627,7 @@ fn validate_incremental_schema(value: &serde_json::Value) -> Result<(), String> 
     for key in [
         "schema_version",
         "preset",
+        "host_cpus",
         "seed",
         "shards",
         "rho",
@@ -637,8 +637,8 @@ fn validate_incremental_schema(value: &serde_json::Value) -> Result<(), String> 
             return Err(format!("missing top-level key {key:?}"));
         }
     }
-    if value["schema_version"].as_u64() != Some(1) {
-        return Err("schema_version is not 1".to_owned());
+    if value["schema_version"].as_u64() != Some(2) {
+        return Err("schema_version is not 2".to_owned());
     }
     if value["from_scratch_seconds"].as_f64().is_none() {
         return Err("from_scratch_seconds is not a number".to_owned());
@@ -702,15 +702,6 @@ fn validate_incremental_schema(value: &serde_json::Value) -> Result<(), String> 
     }
     if chaos["byte_identical_after_replay"].as_bool().is_none() {
         return Err("determinism.chaos.byte_identical_after_replay is not a boolean".to_owned());
-    }
-    let warm = &value["warm_seeded"];
-    for key in ["update_seconds", "exact_update_seconds"] {
-        if warm[key].as_f64().is_none() {
-            return Err(format!("warm_seeded.{key} is not a number"));
-        }
-    }
-    if warm["decisions_identical"].as_bool().is_none() {
-        return Err("warm_seeded.decisions_identical is not a boolean".to_owned());
     }
     Ok(())
 }

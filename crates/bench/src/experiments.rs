@@ -1939,10 +1939,6 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 /// 4. **Chaos replay** — a base mined under seeded fault injection
 ///    quarantines shards into the replay queue; updating it (delta plus
 ///    replay) converges bit-for-bit to the clean from-scratch bytes.
-///
-/// A fifth block times the opt-in `WarmStart::Seeded` mode, which trades
-/// byte-identity for a single warm-started EM run per dirty group, and
-/// records whether its *decisions* still match.
 pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     use surveyor::WarmStart;
 
@@ -2185,50 +2181,13 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         .expect("replay update");
     let byte_identical_after_replay = surveyor::save_snapshot(&replayed.output) == scratch_bytes;
 
-    // (5) Opt-in seeded warm start: time it and note whether decisions
-    // (not bytes — traces differ by construction) still match.
-    let base = mine_base(&surveyor, &generator, base_shards);
-    let mut seeded_outcome = None;
-    let mut seeded_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let input = base.clone();
-        let delta = ShardSubset::range(CorpusSource::new(&generator), base_shards, num_shards);
-        let start = Instant::now();
-        let out = surveyor
-            .try_update(input, &delta, &retry, &policy, WarmStart::Seeded)
-            .expect("seeded update");
-        if run > 0 {
-            seeded_samples.push(start.elapsed().as_secs_f64());
-        }
-        seeded_outcome = Some(out);
-    }
-    let seeded_seconds = median(&mut seeded_samples);
-    let seeded = seeded_outcome.expect("at least one seeded update ran");
-    let triples = |output: &SurveyorOutput| {
-        let mut t: Vec<String> = output
-            .triples()
-            .into_iter()
-            .map(|tr| format!("{}\u{1}{}\u{1}{}", tr.entity, tr.property, tr.polarity))
-            .collect();
-        t.sort_unstable();
-        t
-    };
-    let seeded_decisions_identical = triples(&seeded.output) == triples(&scratch);
-    let exact_10pct_seconds = delta_rows
-        .iter()
-        .find(|r| r["delta_shards"].as_u64() == Some(fixed_delta as u64))
-        .and_then(|r| r["update_seconds"].as_f64())
-        .unwrap_or(f64::NAN);
-
     let text = format!(
         "Incremental mining — update vs from-scratch (long_tail_world, {num_shards} shards, \
          from-scratch {scratch_seconds:.3}s)\n{}\n\
          Fixed {fixed_delta}-shard delta against growing corpora\n{}\n\
          byte-identical at 1/2/4/8 threads: {byte_identical_all_threads}\n\
          chaos replay (seed {chaos_seed}, quarantined {quarantined:?}) -> clean bytes: \
-         {byte_identical_after_replay}\n\
-         seeded warm start: {seeded_seconds:.3}s (exact: {exact_10pct_seconds:.3}s), \
-         decisions identical: {seeded_decisions_identical}",
+         {byte_identical_after_replay}",
         render::table(
             &[
                 "Delta",
@@ -2246,8 +2205,9 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         ),
     );
     let value = json!({
-        "schema_version": 1,
+        "schema_version": 2,
         "preset": "long_tail_world",
+        "host_cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "seed": cfg.seed,
         "shards": num_shards,
         "rho": rho,
@@ -2264,11 +2224,6 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                 "quarantined_shards": quarantined,
                 "byte_identical_after_replay": byte_identical_after_replay,
             }),
-        }),
-        "warm_seeded": json!({
-            "update_seconds": seeded_seconds,
-            "exact_update_seconds": exact_10pct_seconds,
-            "decisions_identical": seeded_decisions_identical,
         }),
     });
     (text, value)

@@ -83,28 +83,6 @@ impl MineArgs {
     }
 }
 
-/// Which EM start `surveyor update` uses for dirtied groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmModeArg {
-    /// Cold multi-restart EM — byte-identical to a from-scratch mine.
-    #[default]
-    Exact,
-    /// Single EM run seeded from the previous fit (faster, approximate).
-    Seeded,
-}
-
-impl std::str::FromStr for WarmModeArg {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(Self::Exact),
-            "seeded" => Ok(Self::Seeded),
-            _ => Err(()),
-        }
-    }
-}
-
 /// Everything `surveyor update` takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateArgs {
@@ -118,8 +96,6 @@ pub struct UpdateArgs {
     pub seed: u64,
     /// Restrict the delta to one author region (must match the base).
     pub region: Option<String>,
-    /// EM start mode for dirtied groups.
-    pub warm: WarmModeArg,
     /// What to do when a delta shard exhausts its attempt budget.
     pub failure_policy: FailurePolicyArg,
     /// Minimum fraction of requested shards that must survive under
@@ -290,7 +266,7 @@ usage:
   surveyor link     --preset cities --attribute KEY [--seed N] [--rho N]
   surveyor snapshot --preset NAME --out FILE.swire [--store FILE] [mine flags...]
   surveyor update   --snapshot IN.swire --delta-preset NAME --out OUT.swire [--seed N] [--region NAME]
-                    [--warm exact|seeded] [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
+                    [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
   surveyor load     --snapshot FILE.swire [--out FILE]
   surveyor serve    --snapshot FILE.swire [--addr HOST:PORT] [--workers N] [--queue N] [--budget-ms N] [--debug-routes]
   surveyor diff     --old FILE.swire --new FILE.swire [--format human|json]
@@ -476,17 +452,10 @@ impl Cli {
                     "--out",
                     "--seed",
                     "--region",
-                    "--warm",
                     "--failure-policy",
                     "--min-shard-coverage",
                     "--chaos-seed",
                 ])?;
-                let warm = match flags.take("--warm") {
-                    None => WarmModeArg::default(),
-                    Some(v) => v
-                        .parse()
-                        .map_err(|()| ParseError::BadValue("--warm".to_owned(), v.to_owned()))?,
-                };
                 let (failure_policy, min_shard_coverage, chaos_seed) = fault_flags_from(&flags)?;
                 Command::Update(UpdateArgs {
                     snapshot: flags.required("--snapshot")?,
@@ -494,7 +463,6 @@ impl Cli {
                     out: flags.required("--out")?,
                     seed: flags.numeric("--seed", 2015)?,
                     region: flags.take("--region").map(str::to_owned),
-                    warm,
                     failure_policy,
                     min_shard_coverage,
                     chaos_seed,
@@ -840,7 +808,6 @@ mod tests {
                 out: "b.swire".to_owned(),
                 seed: 2015,
                 region: None,
-                warm: WarmModeArg::Exact,
                 failure_policy: FailurePolicyArg::FailFast,
                 min_shard_coverage: 0.9,
                 chaos_seed: None,
@@ -860,8 +827,6 @@ mod tests {
             "b.swire",
             "--seed",
             "7",
-            "--warm",
-            "seeded",
             "--failure-policy",
             "degrade",
             "--min-shard-coverage",
@@ -873,7 +838,6 @@ mod tests {
         match cli.command {
             Command::Update(args) => {
                 assert_eq!(args.seed, 7);
-                assert_eq!(args.warm, WarmModeArg::Seeded);
                 assert_eq!(args.failure_policy, FailurePolicyArg::Degrade);
                 assert_eq!(args.min_shard_coverage, 0.5);
                 assert_eq!(args.chaos_seed, Some(99));
@@ -890,9 +854,10 @@ mod tests {
                 "--out",
                 "b",
                 "--warm",
-                "lukewarm",
+                "exact",
             ]),
-            Err(ParseError::BadValue("--warm".into(), "lukewarm".into()))
+            // The warm-mode flag is gone: refits are always exact.
+            Err(ParseError::UnknownFlag("--warm".into()))
         );
         assert_eq!(
             parse(&[

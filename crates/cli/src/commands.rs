@@ -1,6 +1,6 @@
 //! Command implementations.
 
-use crate::args::{DiffFormat, FailurePolicyArg, MineArgs, UpdateArgs, WarmModeArg};
+use crate::args::{DiffFormat, FailurePolicyArg, MineArgs, UpdateArgs};
 use crate::error::CliError;
 use std::sync::Arc;
 use surveyor::obs::MetricsRegistry;
@@ -221,9 +221,8 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
 /// `surveyor update` — ingest a delta corpus into an existing snapshot:
 /// extract only the requested shards (the delta range plus any shards
 /// quarantined by earlier runs), merge the evidence, and re-decide only
-/// the groups the delta touched. With the default `--warm exact` mode
-/// the written snapshot is byte-identical to mining the concatenated
-/// corpus from scratch.
+/// the groups the delta touched. The written snapshot is byte-identical
+/// to mining the concatenated corpus from scratch.
 pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
     let bytes = std::fs::read(&args.snapshot)
         .map_err(|e| CliError::Io(format!("cannot read {}: {e}", args.snapshot)))?;
@@ -335,10 +334,6 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
             min_shard_coverage: args.min_shard_coverage,
         },
     };
-    let warm = match args.warm {
-        WarmModeArg::Exact => WarmStart::Exact,
-        WarmModeArg::Seeded => WarmStart::Seeded,
-    };
     let shard_list: Vec<usize> = requested.iter().map(|&s| s as usize).collect();
     let outcome = match chaos_seed_or_env(args.chaos_seed) {
         Some(seed) => {
@@ -348,11 +343,11 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
             let injector =
                 FaultInjector::new(source, FaultPlan::from_seed(seed, generator.shard_count()));
             let subset = ShardSubset::new(injector, shard_list.clone());
-            surveyor.try_update(base, &subset, &retry, &policy, warm)?
+            surveyor.try_update(base, &subset, &retry, &policy, WarmStart::Exact)?
         }
         None => {
             let subset = ShardSubset::new(source, shard_list.clone());
-            surveyor.try_update(base, &subset, &retry, &policy, warm)?
+            surveyor.try_update(base, &subset, &retry, &policy, WarmStart::Exact)?
         }
     };
 
@@ -1099,7 +1094,6 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,
@@ -1126,7 +1120,6 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,
@@ -1161,7 +1154,6 @@ mod tests {
             out: out.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,
@@ -1286,7 +1278,6 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,

@@ -10,7 +10,7 @@
 //! surveyor link   --preset cities --attribute population [--seed N] [--rho N]
 //! surveyor snapshot --preset table2 --out world.swire [--store store.json] [mine flags...]
 //! surveyor update --snapshot base.swire --delta-preset table2-tail --out updated.swire [--seed N]
-//!                 [--region NAME] [--warm exact|seeded] [--failure-policy failfast|degrade]
+//!                 [--region NAME] [--failure-policy failfast|degrade]
 //!                 [--min-shard-coverage F] [--chaos-seed N]
 //! surveyor load   --snapshot world.swire [--out store.json]
 //! surveyor serve  --snapshot world.swire [--addr HOST:PORT] [--workers N] [--queue N] [--budget-ms N] [--debug-routes]
@@ -32,9 +32,7 @@ pub mod args;
 pub mod commands;
 pub mod error;
 
-pub use args::{
-    Cli, Command, DiffFormat, FailurePolicyArg, MineArgs, ParseError, UpdateArgs, WarmModeArg,
-};
+pub use args::{Cli, Command, DiffFormat, FailurePolicyArg, MineArgs, ParseError, UpdateArgs};
 pub use error::CliError;
 
 /// The result of a successful command: the text to print plus the

@@ -1,5 +1,6 @@
 //! Incremental mining: delta ingestion with dirty-group re-decide
-//! (ROADMAP item 3).
+//! (ROADMAP item 3) — and, as the update of an empty output, every
+//! from-scratch mine.
 //!
 //! A mined [`SurveyorOutput`] plus a delta corpus — newly crawled shards,
 //! or a replayed quarantine queue — updates in time proportional to the
@@ -17,31 +18,25 @@
 //!    carries forward *byte-identically*, without re-running EM at all.
 //!
 //! Step 3 is where the asymptotics change: a from-scratch interpretation
-//! phase is `O(groups)`, an update is `O(dirty groups)`. The guarantee the
-//! bench (`bench incremental`) and `scripts/verify.sh` pin is that the
+//! phase is `O(groups)`, an update is `O(dirty groups)`. A from-scratch
+//! mine is the same three steps over an empty base, where every group is
+//! dirty, so mine and update share one fit-and-decide loop. The guarantee
+//! the bench (`bench incremental`) and `scripts/verify.sh` pin is that the
 //! final snapshot is byte-identical to mining the concatenated corpus from
 //! scratch, at every worker count, clean and under injected chaos.
-//!
-//! [`WarmStart::Seeded`] additionally seeds EM on dirty groups from the
-//! previous fit instead of the multi-restart cold grid. That converges in
-//! fewer iterations on small deltas but records different telemetry
-//! (iteration counts, traces), so it is opt-in and never used by the
-//! byte-identity gates.
 
 use crate::pipeline::{DomainResult, Surveyor, SurveyorConfig, SurveyorOutput};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use surveyor_extract::evidence::Group;
 use surveyor_extract::{
-    run_sharded_fault_tolerant, ExtractionOutput, FailurePolicy, FallibleShardSource, GroupKey,
-    GroupedEvidence, RetryPolicy, RunError, ShardCoverage,
+    ExtractionOutput, FailurePolicy, FallibleShardSource, GroupKey, GroupedEvidence, RetryPolicy,
+    RunError, ShardCoverage,
 };
 use surveyor_kb::EntityId;
-use surveyor_model::{
-    decide, posterior_positive, ModelDecision, ModelParams, ObservedCounts, SurveyorModel,
-};
-use surveyor_obs::FaultSummary;
+use surveyor_model::{decide, posterior_positive, ModelDecision, ObservedCounts, SurveyorModel};
+use surveyor_obs::{EmGroupReport, MetricsRegistry};
 use surveyor_wire::Fnv64;
 
 /// How dirty groups are re-fitted during an update.
@@ -49,18 +44,16 @@ use surveyor_wire::Fnv64;
 pub enum WarmStart {
     /// Re-fit with the standard cold multi-restart EM — exactly what a
     /// from-scratch run would do, so the updated output is byte-identical
-    /// to re-mining the concatenated corpus. The default, and the only
-    /// mode the identity gates use.
+    /// to re-mining the concatenated corpus.
     #[default]
     Exact,
-    /// Seed a single EM run from the group's previous parameters; cold
-    /// multi-restart only for groups with no previous fit. Fewer
-    /// iterations on small deltas, but different telemetry — decisions
-    /// may differ near the EM grid's tie boundaries.
-    Seeded,
 }
 
 /// What an update did, beyond the output itself.
+///
+/// `groups_carried + groups_refit == groups_total`. `groups_dirty` counts
+/// every combination the delta touched, below ρ included, so it can
+/// exceed `groups_refit`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Modeled combinations after the update.
@@ -106,13 +99,24 @@ impl SurveyorConfig {
     }
 }
 
-/// One dirty combination queued for re-fitting.
+/// One combination queued for fitting.
 struct RefitTask<'a> {
+    /// Position among the modeled combinations (the output order).
     rank: usize,
     key: GroupKey,
     group: &'a Group,
-    /// The previous fit's parameters, for [`WarmStart::Seeded`].
-    seed: Option<ModelParams>,
+}
+
+/// One fit-and-decide worker's state: a counts scratch buffer reused
+/// across combinations, plus locally-buffered timing flushed after the
+/// pool returns, so the loop shares nothing but the pool's cursor.
+#[derive(Default)]
+struct FitWorker {
+    counts: Vec<ObservedCounts>,
+    em_time: Duration,
+    decide_time: Duration,
+    groups_fitted: u64,
+    decisions_made: u64,
 }
 
 impl Surveyor {
@@ -127,9 +131,9 @@ impl Surveyor {
     /// check, which the CLI performs against the snapshot's `INCR`
     /// section.
     ///
-    /// With [`WarmStart::Exact`], the returned output is byte-identical
-    /// to running the pipeline from scratch over the concatenation of the
-    /// base corpus and the delta's surviving shards.
+    /// The returned output is byte-identical to running the pipeline from
+    /// scratch over the concatenation of the base corpus and the delta's
+    /// surviving shards.
     pub fn try_update<F: FallibleShardSource>(
         &self,
         base: SurveyorOutput,
@@ -138,37 +142,7 @@ impl Surveyor {
         policy: &FailurePolicy,
         warm: WarmStart,
     ) -> Result<UpdateOutcome, RunError> {
-        let outcome = match self.observer() {
-            Some(obs) => {
-                let docs_before = obs.counter_value("extract.documents");
-                let mut span = obs.span("extract");
-                let outcome = run_sharded_fault_tolerant(
-                    source,
-                    self.kb(),
-                    &self.config().extraction,
-                    self.config().threads,
-                    retry,
-                    policy,
-                    Some(obs),
-                )?;
-                span.set_items(obs.counter_value("extract.documents") - docs_before);
-                obs.record_fault_summary(FaultSummary {
-                    coverage: outcome.coverage.fraction(),
-                    retries: outcome.coverage.retries,
-                    quarantined_shards: outcome.coverage.quarantined_shards(),
-                });
-                outcome
-            }
-            None => run_sharded_fault_tolerant(
-                source,
-                self.kb(),
-                &self.config().extraction,
-                self.config().threads,
-                retry,
-                policy,
-                None,
-            )?,
-        };
+        let outcome = self.extract(source, retry, policy)?;
         let (output, stats) = self.apply_delta(base, outcome.output, warm);
         Ok(UpdateOutcome {
             output,
@@ -180,16 +154,22 @@ impl Surveyor {
     /// The merge-and-re-decide half of an update: folds already-extracted
     /// delta evidence into `base` and re-fits only the dirtied groups.
     /// [`try_update`](Self::try_update) calls this after delta
-    /// extraction; tests use it directly to exercise the dirty-group
-    /// logic without a corpus.
+    /// extraction, and every from-scratch mine calls it with an empty
+    /// base; tests use it directly to exercise the dirty-group logic
+    /// without a corpus.
+    ///
+    /// With an observer attached it records the `group`, `model`,
+    /// `decide` and `index` phases, the `group.*` and `update.*`
+    /// counters, and EM telemetry for every re-fitted combination.
     pub fn apply_delta(
         &self,
         base: SurveyorOutput,
         delta: ExtractionOutput,
         warm: WarmStart,
     ) -> (SurveyorOutput, UpdateStats) {
+        let WarmStart::Exact = warm;
         let config = self.config();
-        let obs = self.observer().map(std::sync::Arc::as_ref);
+        let obs = self.observer().map(Arc::as_ref);
         let delta_pairs = delta.evidence.pair_count();
         let delta_statements = delta.evidence.total_statements();
 
@@ -203,6 +183,10 @@ impl Surveyor {
             }
             grouped
         };
+        if let Some(obs) = obs {
+            obs.add("group.pairs", delta_pairs as u64);
+            obs.add("group.combinations", delta_grouped.len() as u64);
+        }
         let dirty: FxHashSet<GroupKey> = delta_grouped.iter().map(|(key, _)| *key).collect();
 
         // Merge the three tables; every merge is commutative, so the
@@ -221,139 +205,133 @@ impl Surveyor {
         let mut previous: FxHashMap<GroupKey, DomainResult> =
             results.into_iter().map(|r| (r.key, r)).collect();
 
-        let (ranked, stats) = {
-            let combinations: Vec<(&GroupKey, &Group)> =
-                grouped.above_threshold(config.rho).collect();
-            let groups_total = combinations.len();
-
+        let (results, stats) = {
             // Partition: clean groups with a previous result carry it
             // forward untouched (their counts did not change, and a clean
             // group cannot newly cross ρ); everything else is re-fitted.
             let mut carried: Vec<(usize, DomainResult)> = Vec::new();
             let mut refits: Vec<RefitTask<'_>> = Vec::new();
-            for (rank, &(key, group)) in combinations.iter().enumerate() {
-                let is_dirty = dirty.contains(key);
+            for (rank, (key, group)) in grouped.above_threshold(config.rho).enumerate() {
                 match previous.remove(key) {
-                    Some(result) if !is_dirty => carried.push((rank, result)),
-                    prior => refits.push(RefitTask {
+                    Some(result) if !dirty.contains(key) => carried.push((rank, result)),
+                    _ => refits.push(RefitTask {
                         rank,
                         key: *key,
                         group,
-                        seed: prior.map(|r| r.fit.params),
                     }),
                 }
             }
             let stats = UpdateStats {
-                groups_total,
+                groups_total: carried.len() + refits.len(),
                 groups_dirty: dirty.len(),
                 groups_carried: carried.len(),
                 groups_refit: refits.len(),
                 delta_pairs,
                 delta_statements,
             };
-
-            let mut ranked = self.refit_groups(&refits, warm);
             if let Some(obs) = obs {
                 obs.add("update.groups_carried", stats.groups_carried as u64);
                 obs.add("update.groups_refit", stats.groups_refit as u64);
-                for (_, result) in &ranked {
-                    self.record_em_telemetry(obs, &result.key, result.decisions.len(), &result.fit);
-                }
             }
-            ranked.extend(carried);
-            ranked.sort_by_key(|&(rank, _)| rank);
-            debug_assert_eq!(ranked.len(), groups_total);
-            (ranked, stats)
-        };
-        let results: Vec<DomainResult> = ranked.into_iter().map(|(_, result)| result).collect();
 
+            let fitted = self.fit_and_decide(&refits);
+            let mut ranked: Vec<(usize, DomainResult)> = refits
+                .iter()
+                .map(|task| task.rank)
+                .zip(fitted)
+                .chain(carried)
+                .collect();
+            ranked.sort_by_key(|&(rank, _)| rank);
+            let results: Vec<DomainResult> = ranked.into_iter().map(|(_, result)| result).collect();
+            (results, stats)
+        };
+
+        let mut index_span = obs.map(|o| o.span("index"));
         let output =
             SurveyorOutput::from_parts(evidence, provenance, grouped, results, self.kb().clone());
+        if let Some(span) = index_span.as_mut() {
+            span.set_items(output.indexed_pairs() as u64);
+        }
         (output, stats)
     }
 
-    /// Re-fits the dirty combinations over the claim-cursor worker pool —
-    /// the same shared-nothing pattern as
-    /// [`run_on_evidence`](Self::run_on_evidence): results come back
-    /// rank-tagged by value, so output order is worker-count independent.
-    fn refit_groups(
-        &self,
-        refits: &[RefitTask<'_>],
-        warm: WarmStart,
-    ) -> Vec<(usize, DomainResult)> {
-        if refits.is_empty() {
-            return Vec::new();
-        }
-        let config = self.config();
-        let obs = self.observer().map(std::sync::Arc::as_ref);
-        let model = SurveyorModel::with_config(config.em.clone());
-        let cursor = AtomicUsize::new(0);
-        let workers = config.threads.max(1).min(refits.len());
+    /// Fits and decides `tasks` on the ordered worker pool (Algorithm 1
+    /// lines 6–11). Combinations are independent, so they fan out over
+    /// `config.threads` workers: a dynamic cursor balances skewed group
+    /// sizes, each worker reuses one counts buffer, and results come back
+    /// in task order for any worker count. Worker timings and EM
+    /// telemetry are flushed after the pool returns, in task order.
+    fn fit_and_decide(&self, tasks: &[RefitTask<'_>]) -> Vec<DomainResult> {
+        let obs = self.observer().map(Arc::as_ref);
         let timed = obs.is_some();
-
-        let outcomes = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut counts: Vec<ObservedCounts> = Vec::new();
-                        let mut results: Vec<(usize, DomainResult)> = Vec::new();
-                        let mut em_time = Duration::ZERO;
-                        let mut fitted = 0u64;
-                        loop {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(task) = refits.get(slot) else {
-                                break;
-                            };
-                            let entities = self.kb().entities_of_type(task.key.type_id);
-                            counts.clear();
-                            counts.extend(entities.iter().map(|&e| {
-                                let c = task.group.counts(e);
-                                ObservedCounts::new(c.positive, c.negative)
-                            }));
-                            let fit_start = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
-                            let fit = match (warm, task.seed) {
-                                (WarmStart::Seeded, Some(seed)) => {
-                                    model.fit_group_warm(&counts, &seed)
-                                }
-                                _ => model.fit_group(&counts),
-                            };
-                            if let Some(start) = fit_start {
-                                em_time += start.elapsed();
-                                fitted += 1;
-                            }
-                            let decisions: Vec<(EntityId, ModelDecision)> = entities
-                                .iter()
-                                .zip(&counts)
-                                .map(|(&e, &c)| (e, decide(posterior_positive(c, &fit.params))))
-                                .collect();
-                            results.push((
-                                task.rank,
-                                DomainResult {
-                                    key: task.key,
-                                    fit,
-                                    decisions,
-                                },
-                            ));
-                        }
-                        (results, em_time, fitted)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("update worker panicked")) // lint:allow(no-panic-in-lib): a worker panic is a pipeline bug; the infallible API propagates it
-                .collect::<Vec<_>>()
-        })
-        .expect("update worker panicked"); // lint:allow(no-panic-in-lib): a worker panic is a pipeline bug; the infallible API propagates it
-
-        let mut ranked = Vec::with_capacity(refits.len());
-        for (results, em_time, fitted) in outcomes {
-            if let Some(obs) = obs {
-                obs.record_phase("model", em_time, fitted);
+        let model = SurveyorModel::with_config(self.config().em.clone());
+        let (results, workers) = surveyor_par::map(
+            tasks.len(),
+            self.config().threads,
+            FitWorker::default,
+            |worker, slot| {
+                let task = &tasks[slot];
+                let entities = self.kb().entities_of_type(task.key.type_id);
+                worker.counts.clear();
+                worker.counts.extend(entities.iter().map(|&e| {
+                    let c = task.group.counts(e);
+                    ObservedCounts::new(c.positive, c.negative)
+                }));
+                let fit_start = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
+                let fit = model.fit_group(&worker.counts);
+                if let Some(start) = fit_start {
+                    worker.em_time += start.elapsed();
+                    worker.groups_fitted += 1;
+                }
+                let decide_start = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
+                let decisions: Vec<(EntityId, ModelDecision)> = entities
+                    .iter()
+                    .zip(&worker.counts)
+                    .map(|(&e, &c)| (e, decide(posterior_positive(c, &fit.params))))
+                    .collect();
+                if let Some(start) = decide_start {
+                    worker.decide_time += start.elapsed();
+                    worker.decisions_made += decisions.len() as u64;
+                }
+                DomainResult {
+                    key: task.key,
+                    fit,
+                    decisions,
+                }
+            },
+        );
+        if let Some(obs) = obs {
+            for worker in &workers {
+                // Summed worker CPU time, not wall time: with N workers the
+                // "model" phase can exceed elapsed time.
+                obs.record_phase("model", worker.em_time, worker.groups_fitted);
+                obs.record_phase("decide", worker.decide_time, worker.decisions_made);
             }
-            ranked.extend(results);
+            for result in &results {
+                self.record_em_telemetry(obs, result);
+            }
         }
-        ranked
+        results
+    }
+
+    /// Feeds one combination's EM fit into the registry: the iteration
+    /// histogram, a convergence-reason counter, and the full per-group
+    /// report row (traces included).
+    fn record_em_telemetry(&self, obs: &MetricsRegistry, result: &DomainResult) {
+        let fit = &result.fit;
+        obs.observe("em.iterations", fit.iterations as f64);
+        obs.add(&format!("em.converged.{}", fit.converged.as_str()), 1);
+        obs.record_em_group(EmGroupReport {
+            type_name: self.kb().entity_type(result.key.type_id).name().to_owned(),
+            property: result.key.property.resolve().to_string(),
+            entities: result.decisions.len() as u64,
+            iterations: fit.iterations as u64,
+            converged: fit.converged.as_str().to_owned(),
+            log_likelihood: fit.log_likelihood,
+            final_delta: fit.delta_trace.last().copied().unwrap_or(0.0),
+            q_trace: fit.q_trace.clone(),
+            delta_trace: fit.delta_trace.clone(),
+        });
     }
 }
 
@@ -503,22 +481,34 @@ mod tests {
     }
 
     #[test]
-    fn seeded_update_decides_the_same_world() {
+    fn carried_plus_refit_accounts_for_every_modeled_group() {
         let kb = kb();
         let surveyor = surveyor(&kb);
         let base = surveyor.run_on_evidence(base_evidence(&kb));
-        let (updated, _) = surveyor.apply_delta(base, delta_output(&kb), WarmStart::Seeded);
-        let scratch = surveyor.run_on_evidence(combined(&kb));
-        // Telemetry differs (single warm run vs multi-restart), but on
-        // this well-separated evidence the decisions agree.
-        let triples = |o: &SurveyorOutput| {
-            let mut t = o.triples();
-            t.sort_by(|a, b| (&a.entity, &a.property).cmp(&(&b.entity, &b.property)));
-            t.into_iter()
-                .map(|t| (t.entity, t.property, t.polarity))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(triples(&updated), triples(&scratch));
+        let (updated, stats) = surveyor.apply_delta(base, delta_output(&kb), WarmStart::Exact);
+        assert_eq!(
+            stats.groups_carried + stats.groups_refit,
+            stats.groups_total
+        );
+        assert_eq!(stats.groups_total, updated.modeled_combinations());
+    }
+
+    #[test]
+    fn update_from_empty_refits_every_group() {
+        let kb = kb();
+        let surveyor = surveyor(&kb);
+        let (output, stats) = surveyor.apply_delta(
+            SurveyorOutput::empty(kb.clone()),
+            ExtractionOutput {
+                evidence: combined(&kb),
+                provenance: ProvenanceTable::default(),
+            },
+            WarmStart::Exact,
+        );
+        assert_eq!(stats.groups_carried, 0);
+        assert_eq!(stats.groups_refit, stats.groups_total);
+        assert_eq!(stats.groups_total, output.modeled_combinations());
+        assert!(stats.groups_total > 0);
     }
 
     #[test]

@@ -11,22 +11,19 @@
 //!             emit ⟨entity, property, −⟩ if prb < ½
 //! ```
 
+use crate::incremental::WarmStart;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use surveyor_extract::{
     run_sharded_fault_tolerant, run_sharded_full, run_sharded_observed, EvidenceTable,
-    ExtractionConfig, FailurePolicy, FallibleShardSource, GroupKey, GroupedEvidence,
-    ProvenanceTable, RetryPolicy, RunError, ShardCoverage, ShardSource,
+    ExtractionConfig, ExtractionOutput, FailurePolicy, FallibleShardSource, GroupKey,
+    GroupedEvidence, ProvenanceTable, RetryPolicy, RunError, RunOutcome, ShardCoverage,
+    ShardSource,
 };
 use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId};
-use surveyor_model::{
-    decide, posterior_positive, Decision, EmConfig, EmFit, ModelDecision, ObservedCounts,
-    SurveyorModel,
-};
-use surveyor_obs::{EmGroupReport, FaultSummary, MetricsRegistry};
+use surveyor_model::{Decision, EmConfig, EmFit, ModelDecision};
+use surveyor_obs::{FaultSummary, MetricsRegistry};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -80,18 +77,6 @@ pub struct DomainResult {
     pub decisions: Vec<(EntityId, ModelDecision)>,
 }
 
-/// Everything one interpretation worker accumulated, handed back by value
-/// over the join handle: rank-tagged results plus locally-buffered timing,
-/// so the combination loop shares nothing but the claim cursor.
-#[derive(Debug, Default)]
-struct ModelWorkerOutcome {
-    results: Vec<(usize, DomainResult)>,
-    em_time: Duration,
-    decide_time: Duration,
-    groups_fitted: u64,
-    decisions_made: u64,
-}
-
 /// Full pipeline output.
 #[derive(Debug, Clone)]
 pub struct SurveyorOutput {
@@ -114,9 +99,22 @@ pub struct SurveyorOutput {
 }
 
 impl SurveyorOutput {
-    /// Reassembles an output from its portable parts (the snapshot load
-    /// path): the decision index and decided-pair count are rebuilt from
-    /// `results`, exactly as [`Surveyor::run_on_evidence`] builds them.
+    /// An output with nothing mined: the base a from-scratch mine updates.
+    pub(crate) fn empty(kb: Arc<KnowledgeBase>) -> Self {
+        Self::from_parts(
+            EvidenceTable::new(),
+            ProvenanceTable::default(),
+            GroupedEvidence::default(),
+            Vec::new(),
+            kb,
+        )
+    }
+
+    /// Assembles an output from its portable parts — the one place the
+    /// decision index and decided-pair count are built, for mining,
+    /// updating and snapshot loading alike. Every decision lands in the
+    /// index exactly once, so the capacity is known up front and the
+    /// build never rehashes.
     pub(crate) fn from_parts(
         evidence: EvidenceTable,
         provenance: ProvenanceTable,
@@ -150,6 +148,11 @@ impl SurveyorOutput {
     /// The knowledge base the run decided over.
     pub fn kb(&self) -> &Arc<KnowledgeBase> {
         &self.kb
+    }
+
+    /// Entity-property pairs in the decision index.
+    pub(crate) fn indexed_pairs(&self) -> usize {
+        self.index.len()
     }
 
     /// The decision for an entity-property pair, if its combination was
@@ -280,9 +283,7 @@ impl Surveyor {
                 self.config.threads,
             ),
         };
-        let mut output = self.run_on_evidence(extraction.evidence);
-        output.provenance = extraction.provenance;
-        output
+        self.mine(extraction)
     }
 
     /// Runs the full pipeline under a failure policy: extraction shards
@@ -305,41 +306,9 @@ impl Surveyor {
         retry: &RetryPolicy,
         policy: &FailurePolicy,
     ) -> Result<SurveyorRun, RunError> {
-        let outcome = match &self.obs {
-            Some(obs) => {
-                let docs_before = obs.counter_value("extract.documents");
-                let mut span = obs.span("extract");
-                let outcome = run_sharded_fault_tolerant(
-                    source,
-                    &self.kb,
-                    &self.config.extraction,
-                    self.config.threads,
-                    retry,
-                    policy,
-                    Some(obs),
-                )?;
-                span.set_items(obs.counter_value("extract.documents") - docs_before);
-                obs.record_fault_summary(FaultSummary {
-                    coverage: outcome.coverage.fraction(),
-                    retries: outcome.coverage.retries,
-                    quarantined_shards: outcome.coverage.quarantined_shards(),
-                });
-                outcome
-            }
-            None => run_sharded_fault_tolerant(
-                source,
-                &self.kb,
-                &self.config.extraction,
-                self.config.threads,
-                retry,
-                policy,
-                None,
-            )?,
-        };
-        let mut output = self.run_on_evidence(outcome.output.evidence);
-        output.provenance = outcome.output.provenance;
+        let outcome = self.extract(source, retry, policy)?;
         Ok(SurveyorRun {
-            output,
+            output: self.mine(outcome.output),
             coverage: outcome.coverage,
         })
     }
@@ -347,168 +316,58 @@ impl Surveyor {
     /// Runs the interpretation phase on pre-extracted evidence (Algorithm 1
     /// lines 5–12). Useful when the same evidence is interpreted under
     /// several model configurations.
-    ///
-    /// Combinations above ρ are independent of each other, so they fan out
-    /// over `config.threads` workers the same way extraction shards do: a
-    /// dynamic atomic cursor balances skewed group sizes, each worker reuses
-    /// one counts scratch buffer across combinations, and each result comes
-    /// back rank-tagged by value over the join — a final sort by rank makes
-    /// output order (and therefore the whole output) identical for any
-    /// worker count, and no lock is taken anywhere in the loop.
     pub fn run_on_evidence(&self, evidence: EvidenceTable) -> SurveyorOutput {
-        let grouped = {
-            let mut span = self.obs.as_deref().map(|obs| obs.span("group"));
-            let grouped =
-                GroupedEvidence::from_table_parallel(&evidence, &self.kb, self.config.threads);
-            if let Some(span) = span.as_mut() {
-                span.set_items(evidence.total_statements());
-            }
-            if let Some(obs) = self.obs.as_deref() {
-                obs.add("group.pairs", evidence.pair_count() as u64);
-                obs.add("group.combinations", grouped.len() as u64);
-            }
-            grouped
-        };
-        let model = SurveyorModel::with_config(self.config.em.clone());
-        let combinations: Vec<(&GroupKey, _)> = grouped.above_threshold(self.config.rho).collect();
-
-        let cursor = AtomicUsize::new(0);
-        let workers = self.config.threads.max(1).min(combinations.len().max(1));
-        let timed = self.obs.is_some();
-
-        // Per-worker results ride back by value over the join handle as
-        // (rank, result) pairs; nothing in the combination loop touches
-        // shared state beyond the claim cursor. EM telemetry is likewise
-        // buffered in the result (the fit survives inside `DomainResult`)
-        // and flushed post-join in rank order, so the registry's group
-        // report rows come out in the same order for any worker count.
-        let outcomes = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        // Per-worker scratch, reused across combinations.
-                        let mut counts: Vec<ObservedCounts> = Vec::new();
-                        let mut outcome = ModelWorkerOutcome::default();
-                        loop {
-                            let rank = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(key, group)) = combinations.get(rank) else {
-                                break;
-                            };
-                            let entities = self.kb.entities_of_type(key.type_id);
-                            counts.clear();
-                            counts.extend(entities.iter().map(|&e| {
-                                let c = group.counts(e);
-                                ObservedCounts::new(c.positive, c.negative)
-                            }));
-                            let fit_start = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
-                            let fit = model.fit_group(&counts);
-                            if let Some(start) = fit_start {
-                                outcome.em_time += start.elapsed();
-                                outcome.groups_fitted += 1;
-                            }
-                            let decide_start = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
-                            let decisions: Vec<(EntityId, ModelDecision)> = entities
-                                .iter()
-                                .zip(&counts)
-                                .map(|(&e, &c)| (e, decide(posterior_positive(c, &fit.params))))
-                                .collect();
-                            if let Some(start) = decide_start {
-                                outcome.decide_time += start.elapsed();
-                                outcome.decisions_made += decisions.len() as u64;
-                            }
-                            outcome.results.push((
-                                rank,
-                                DomainResult {
-                                    key: *key,
-                                    fit,
-                                    decisions,
-                                },
-                            ));
-                        }
-                        outcome
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("interpretation worker panicked")) // lint:allow(no-panic-in-lib): a worker panic is a pipeline bug; the infallible API propagates it
-                .collect::<Vec<ModelWorkerOutcome>>()
-        })
-        .expect("interpretation worker panicked"); // lint:allow(no-panic-in-lib): a worker panic is a pipeline bug; the infallible API propagates it
-
-        let mut ranked: Vec<(usize, DomainResult)> = Vec::with_capacity(combinations.len());
-        for outcome in outcomes {
-            if let Some(obs) = self.obs.as_deref() {
-                // Summed worker CPU time, not wall time: with N workers the
-                // "model" phase can exceed elapsed time.
-                obs.record_phase("model", outcome.em_time, outcome.groups_fitted);
-                obs.record_phase("decide", outcome.decide_time, outcome.decisions_made);
-            }
-            ranked.extend(outcome.results);
-        }
-        ranked.sort_by_key(|&(rank, _)| rank);
-        let results: Vec<DomainResult> = ranked.into_iter().map(|(_, result)| result).collect();
-        debug_assert_eq!(results.len(), combinations.len());
-        if let Some(obs) = self.obs.as_deref() {
-            for result in &results {
-                self.record_em_telemetry(obs, &result.key, result.decisions.len(), &result.fit);
-            }
-        }
-
-        let mut index_span = self.obs.as_deref().map(|obs| obs.span("index"));
-        // Every decision lands in the index exactly once, so the capacity
-        // is known up front — no rehash during the build.
-        let decisions_total: usize = results.iter().map(|r| r.decisions.len()).sum();
-        let mut index: FxHashMap<(EntityId, PropertyId), ModelDecision> =
-            FxHashMap::with_capacity_and_hasher(decisions_total, Default::default());
-        let mut decided = 0usize;
-        for result in &results {
-            for (e, d) in &result.decisions {
-                if d.decision.is_solved() {
-                    decided += 1;
-                }
-                index.insert((*e, result.key.property), *d);
-            }
-        }
-        if let Some(span) = index_span.as_mut() {
-            span.set_items(index.len() as u64);
-        }
-        drop(index_span);
-
-        SurveyorOutput {
+        self.mine(ExtractionOutput {
             evidence,
             provenance: ProvenanceTable::default(),
-            grouped,
-            results,
-            index,
-            kb: self.kb.clone(),
-            decided,
-        }
+        })
     }
 
-    /// Feeds one combination's EM fit into the registry: the iteration
-    /// histogram, a convergence-reason counter, and the full per-group
-    /// report row (traces included).
-    pub(crate) fn record_em_telemetry(
+    /// A from-scratch mine is an update of the empty output in which
+    /// every group is dirty: one grouping, fitting and decision path
+    /// serves both, so a mine and an update over the same evidence agree
+    /// by construction. The empty base's tables take the extraction's by
+    /// move, so this costs nothing over interpreting it directly.
+    fn mine(&self, extraction: ExtractionOutput) -> SurveyorOutput {
+        let (output, _) = self.apply_delta(
+            SurveyorOutput::empty(self.kb.clone()),
+            extraction,
+            WarmStart::Exact,
+        );
+        output
+    }
+
+    /// Fault-tolerant sharded extraction, the first step of both
+    /// [`try_run`](Self::try_run) and [`try_update`](Self::try_update).
+    /// With an observer attached it records the `extract` phase and the
+    /// run's [`FaultSummary`].
+    pub(crate) fn extract<F: FallibleShardSource>(
         &self,
-        obs: &MetricsRegistry,
-        key: &GroupKey,
-        entities: usize,
-        fit: &EmFit,
-    ) {
-        obs.observe("em.iterations", fit.iterations as f64);
-        obs.add(&format!("em.converged.{}", fit.converged.as_str()), 1);
-        obs.record_em_group(EmGroupReport {
-            type_name: self.kb.entity_type(key.type_id).name().to_owned(),
-            property: key.property.resolve().to_string(),
-            entities: entities as u64,
-            iterations: fit.iterations as u64,
-            converged: fit.converged.as_str().to_owned(),
-            log_likelihood: fit.log_likelihood,
-            final_delta: fit.delta_trace.last().copied().unwrap_or(0.0),
-            q_trace: fit.q_trace.clone(),
-            delta_trace: fit.delta_trace.clone(),
-        });
+        source: &F,
+        retry: &RetryPolicy,
+        policy: &FailurePolicy,
+    ) -> Result<RunOutcome, RunError> {
+        let obs = self.obs.as_deref();
+        let docs_before = obs.map_or(0, |obs| obs.counter_value("extract.documents"));
+        let mut span = obs.map(|obs| obs.span("extract"));
+        let outcome = run_sharded_fault_tolerant(
+            source,
+            &self.kb,
+            &self.config.extraction,
+            self.config.threads,
+            retry,
+            policy,
+            obs,
+        )?;
+        if let (Some(obs), Some(span)) = (obs, span.as_mut()) {
+            span.set_items(obs.counter_value("extract.documents") - docs_before);
+            obs.record_fault_summary(FaultSummary {
+                coverage: outcome.coverage.fraction(),
+                retries: outcome.coverage.retries,
+                quarantined_shards: outcome.coverage.quarantined_shards(),
+            });
+        }
+        Ok(outcome)
     }
 }
 

@@ -7,7 +7,6 @@
 
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId, TypeId};
 
 /// Polarity of an evidence statement.
@@ -107,8 +106,13 @@ impl EvidenceTable {
         self.statements += 1;
     }
 
-    /// Merges another table into this one.
+    /// Merges another table into this one. An empty table takes `other`
+    /// by move, so folding into a fresh table costs no rehash.
     pub fn merge(&mut self, other: EvidenceTable) {
+        if self.map.is_empty() && self.statements == 0 {
+            *self = other;
+            return;
+        }
         for (key, counts) in other.map {
             self.map.entry(key).or_default().merge(counts);
         }
@@ -300,77 +304,42 @@ impl GroupedEvidence {
     /// type … we use only the most notable type").
     pub fn from_table(table: &EvidenceTable, kb: &KnowledgeBase) -> Self {
         let mut by_key: FxHashMap<GroupKey, Group> = FxHashMap::default();
-        for ((entity, property), counts) in table.iter() {
-            let type_id = kb.entity(*entity).notable_type();
-            let group = by_key
-                .entry(GroupKey {
-                    type_id,
-                    property: *property,
-                })
-                .or_default();
-            group.counts.entry(*entity).or_default().merge(*counts);
-            group.total += counts.total();
+        for (&(entity, property), counts) in table.iter() {
+            Self::fold_pair(&mut by_key, kb, entity, property, counts);
         }
         Self::finish(by_key)
     }
 
     /// [`from_table`](Self::from_table) fanned over `workers` threads.
     ///
-    /// Follows the extraction runner's worker pattern: the pair list is
-    /// split into fixed-size ranges claimed off an atomic cursor; each
-    /// worker aggregates its ranges into a private partial map handed back
-    /// by value over the join (no lock anywhere in the loop). Partials are
-    /// merged on the calling thread in first-claimed-range order — group
-    /// merging is commutative, so the ordering is belt and braces — and the
-    /// merged map feeds the same property-resolved sort as the serial
-    /// path. The result equals [`from_table`](Self::from_table) exactly,
-    /// for any worker count.
+    /// The pair list is split into fixed-size ranges claimed on the
+    /// ordered [`surveyor_par::map`] pool; each worker aggregates its
+    /// ranges into a private partial map, and the partials are merged on
+    /// the calling thread in first-claimed-range order (group merging is
+    /// commutative, so the ordering is belt and braces). The merged map
+    /// feeds the same property-resolved sort as the serial path, so the
+    /// result equals [`from_table`](Self::from_table) exactly, for any
+    /// worker count.
     pub fn from_table_parallel(table: &EvidenceTable, kb: &KnowledgeBase, workers: usize) -> Self {
         /// Pairs per claimed range: small enough to balance skew, large
         /// enough that cursor traffic is negligible.
         const RANGE: usize = 512;
-        let ranges = table.pair_count().div_ceil(RANGE);
-        let workers = workers.clamp(1, ranges.max(1));
-        if workers == 1 {
-            return Self::from_table(table, kb);
-        }
         let pairs: Vec<(&(EntityId, PropertyId), &EvidenceCounts)> = table.iter().collect();
-        let cursor = AtomicUsize::new(0);
-        let mut partials = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut first_range = usize::MAX;
-                        let mut by_key: FxHashMap<GroupKey, Group> = FxHashMap::default();
-                        loop {
-                            let range = cursor.fetch_add(1, Ordering::Relaxed);
-                            if range >= ranges {
-                                break;
-                            }
-                            first_range = first_range.min(range);
-                            let lo = range * RANGE;
-                            let hi = (lo + RANGE).min(pairs.len());
-                            for &(&(entity, property), counts) in &pairs[lo..hi] {
-                                let type_id = kb.entity(entity).notable_type();
-                                let group =
-                                    by_key.entry(GroupKey { type_id, property }).or_default();
-                                group.counts.entry(entity).or_default().merge(*counts);
-                                group.total += counts.total();
-                            }
-                        }
-                        (first_range, by_key)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("grouping worker panicked")) // lint:allow(no-panic-in-lib): a worker panic is a grouping bug; the infallible API propagates it
-                .collect::<Vec<(usize, FxHashMap<GroupKey, Group>)>>()
-        })
-        .expect("grouping worker panicked"); // lint:allow(no-panic-in-lib): a worker panic is a grouping bug; the infallible API propagates it
-        partials.sort_by_key(|&(first_range, _)| first_range);
-        let mut merged: FxHashMap<GroupKey, Group> = FxHashMap::default();
-        for (_, partial) in partials {
+        let (_, partials) = surveyor_par::map(
+            pairs.len().div_ceil(RANGE),
+            workers,
+            FxHashMap::<GroupKey, Group>::default,
+            |by_key, range| {
+                let lo = range * RANGE;
+                let hi = (lo + RANGE).min(pairs.len());
+                for &(&(entity, property), counts) in &pairs[lo..hi] {
+                    Self::fold_pair(by_key, kb, entity, property, counts);
+                }
+            },
+        );
+        let mut partials = partials.into_iter();
+        let mut merged = partials.next().unwrap_or_default();
+        for partial in partials {
             for (key, group) in partial {
                 let target = merged.entry(key).or_default();
                 for (entity, counts) in group.counts {
@@ -380,6 +349,20 @@ impl GroupedEvidence {
             }
         }
         Self::finish(merged)
+    }
+
+    /// Adds one pair's counters to its (notable type, property) group.
+    fn fold_pair(
+        by_key: &mut FxHashMap<GroupKey, Group>,
+        kb: &KnowledgeBase,
+        entity: EntityId,
+        property: PropertyId,
+        counts: &EvidenceCounts,
+    ) {
+        let type_id = kb.entity(entity).notable_type();
+        let group = by_key.entry(GroupKey { type_id, property }).or_default();
+        group.counts.entry(entity).or_default().merge(*counts);
+        group.total += counts.total();
     }
 
     /// The shared tail of both grouping paths: deterministic sort plus the

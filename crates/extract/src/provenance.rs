@@ -48,8 +48,13 @@ impl ProvenanceTable {
         insert_bounded(ids, document, self.sample_size);
     }
 
-    /// Merges another table (order-independent).
+    /// Merges another table (order-independent). An empty table with the
+    /// same sample size takes `other` by move.
     pub fn merge(&mut self, other: ProvenanceTable) {
+        if self.map.is_empty() && self.sample_size == other.sample_size {
+            *self = other;
+            return;
+        }
         for (key, ids) in other.map {
             let slot = self.map.entry(key).or_default();
             for id in ids {

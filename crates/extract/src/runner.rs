@@ -2,10 +2,10 @@
 //!
 //! The paper ran extraction "on up to 5000 nodes" over a 40 TB snapshot
 //! (§7.1). The reproduction's corpus is sharded the same way; this module
-//! fans shards out over worker threads (crossbeam scoped threads), each
-//! producing a local [`EvidenceTable`] that is merged reduce-style — merge
-//! is associative and commutative, so completion order is irrelevant and
-//! the result is deterministic.
+//! fans shards out over worker threads (the ordered [`surveyor_par::map`]
+//! pool), each producing a local [`EvidenceTable`] that is merged
+//! reduce-style — merge is associative and commutative, so completion
+//! order is irrelevant and the result is deterministic.
 //!
 //! All entry points funnel into [`run_sharded_fault_tolerant`], the
 //! hardened driver: per-shard work runs under `catch_unwind` so a
@@ -24,7 +24,7 @@ use crate::fault::{
 use crate::patterns::{extract_sentence_into, ExtractContext, PatternCounts};
 use crate::provenance::ProvenanceTable;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use surveyor_kb::{CacheStats, KnowledgeBase};
 use surveyor_nlp::AnnotatedDocument;
@@ -188,9 +188,7 @@ pub fn extract_documents_ctx(
 ///
 /// Work distribution is dynamic (an atomic shard cursor), so skewed shard
 /// sizes — which the Zipf-popularity corpus produces — still balance.
-///
-/// # Panics
-/// Panics if `num_threads == 0`.
+/// The worker count is clamped to `[1, shard count]`, so `0` means one.
 pub fn run_sharded<S: ShardSource>(
     source: &S,
     kb: &KnowledgeBase,
@@ -201,9 +199,6 @@ pub fn run_sharded<S: ShardSource>(
 }
 
 /// Like [`run_sharded`], also collecting provenance.
-///
-/// # Panics
-/// Panics if `num_threads == 0`.
 pub fn run_sharded_full<S: ShardSource>(
     source: &S,
     kb: &KnowledgeBase,
@@ -216,9 +211,6 @@ pub fn run_sharded_full<S: ShardSource>(
 /// Like [`run_sharded_full`], flushing per-worker [`ExtractStats`] into
 /// `obs` as `extract.*` counters when the workers join. The extracted
 /// evidence is identical to the unobserved run.
-///
-/// # Panics
-/// Panics if `num_threads == 0`.
 pub fn run_sharded_observed<S: ShardSource>(
     source: &S,
     kb: &KnowledgeBase,
@@ -310,11 +302,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// the shard immediately. A shard that exhausts its budget is handled per
 /// `policy`:
 ///
-/// - [`FailurePolicy::FailFast`] — workers stop pulling new shards and
-///   the run returns [`RunError::ShardFailed`] naming the lowest-indexed
-///   failed shard. (The shard cursor is monotonic, so every shard below
-///   the first faulty one was already pulled and clean — the lowest
-///   observed failure is deterministic for a deterministic source.)
+/// - [`FailurePolicy::FailFast`] — workers skip every shard they claim
+///   after the failure and the run returns [`RunError::ShardFailed`]
+///   naming the lowest-indexed failed shard. (The shard cursor is
+///   monotonic, so every shard below the first faulty one was already
+///   pulled and clean — the lowest observed failure is deterministic for
+///   a deterministic source.)
 /// - [`FailurePolicy::Degrade`] — the shard is quarantined and the run
 ///   continues; once all shards are settled the coverage fraction is
 ///   checked against the floor and the run either returns
@@ -326,9 +319,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// shard set is bit-identical to a clean run over only those shards, for
 /// any worker count and completion order. Observation (`obs`) flushes
 /// stats from surviving shards only, and only on success.
-///
-/// # Panics
-/// Panics if `num_threads == 0`.
 pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
     source: &F,
     kb: &KnowledgeBase,
@@ -338,93 +328,67 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
     policy: &FailurePolicy,
     obs: Option<&MetricsRegistry>,
 ) -> Result<RunOutcome, RunError> {
-    assert!(num_threads > 0, "need at least one worker thread");
     let max_attempts = retry.max_attempts.max(1);
     let fail_fast = matches!(policy, FailurePolicy::FailFast);
-    let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let timed = obs.is_some();
     let shard_count = source.shard_count();
 
-    // Workers share nothing but the two atomics above. Everything they
-    // accumulate comes back by value over the join handle and is merged
-    // here, on the calling thread, ordered by each worker's lowest shard
-    // index — so the merge sequence is a function of shard assignment,
-    // never of completion order. (Evidence merge is commutative, so this
-    // ordering is belt and braces for bit-identity across thread counts.)
-    let mut outcomes = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..num_threads.min(shard_count.max(1)))
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut outcome = WorkerOutcome::default();
-                    let mut cx = ExtractContext::new();
-                    let started = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs straggler histograms only, never the output
-                    'shards: loop {
-                        if fail_fast && abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= shard_count {
-                            break;
-                        }
-                        outcome.first_shard = outcome.first_shard.min(idx);
-                        let shard_started = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs straggler histograms only, never the output
-                        let mut attempt = 0u32;
-                        let failure = loop {
-                            match attempt_shard(source, kb, config, idx, attempt, &mut cx) {
-                                Ok((output, attempt_stats)) => {
-                                    outcome.output.merge(output);
-                                    outcome.stats.merge(attempt_stats);
-                                    outcome.succeeded += 1;
-                                    if let Some(s) = shard_started {
-                                        outcome.work += s.elapsed();
-                                    }
-                                    continue 'shards;
-                                }
-                                Err(error)
-                                    if error.is_transient() && attempt + 1 < max_attempts =>
-                                {
-                                    let delay = retry.backoff(attempt);
-                                    if !delay.is_zero() {
-                                        std::thread::sleep(delay);
-                                    }
-                                    outcome.retries += 1;
-                                    attempt += 1;
-                                }
-                                Err(error) => break (attempt + 1, error),
-                            }
-                        };
-                        let (attempts, error) = failure;
-                        if let Some(s) = shard_started {
-                            outcome.work += s.elapsed();
-                        }
-                        if fail_fast {
-                            outcome.first_failure = Some((idx, attempts, error));
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        outcome.quarantined.push(QuarantinedShard {
-                            shard: idx,
-                            attempts,
-                            error,
-                        });
+    // Workers share nothing but the pool's cursor and the abort flag.
+    // Each folds its shards into a worker-local outcome; the pool hands
+    // the outcomes back ordered by each worker's first shard, so the
+    // merge sequence is a function of shard assignment, never of
+    // completion order. (Evidence merge is commutative, so this ordering
+    // is belt and braces for bit-identity across thread counts.)
+    let (_, mut outcomes) = surveyor_par::map(
+        shard_count,
+        num_threads,
+        || WorkerOutcome::new(timed),
+        |outcome, idx| {
+            if fail_fast && abort.load(Ordering::Relaxed) {
+                return;
+            }
+            let shard_started = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs straggler histograms only, never the output
+            let mut attempt = 0u32;
+            let failure = loop {
+                match attempt_shard(source, kb, config, idx, attempt, &mut outcome.cx) {
+                    Ok((output, attempt_stats)) => {
+                        outcome.output.merge(output);
+                        outcome.stats.merge(attempt_stats);
+                        outcome.succeeded += 1;
+                        break None;
                     }
-                    if let Some(started) = started {
-                        outcome.wait = started.elapsed().saturating_sub(outcome.work);
+                    Err(error) if error.is_transient() && attempt + 1 < max_attempts => {
+                        let delay = retry.backoff(attempt);
+                        if !delay.is_zero() {
+                            std::thread::sleep(delay);
+                        }
+                        outcome.retries += 1;
+                        attempt += 1;
                     }
-                    outcome.cache = cx.cache_stats();
-                    outcome
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("fault-tolerant workers never unwind")) // lint:allow(no-panic-in-lib): every shard attempt runs under catch_unwind, so workers never unwind
-            .collect::<Vec<WorkerOutcome>>()
-    })
-    .expect("fault-tolerant workers never unwind"); // lint:allow(no-panic-in-lib): every shard attempt runs under catch_unwind, so workers never unwind
+                    Err(error) => break Some((attempt + 1, error)),
+                }
+            };
+            if let (Some(shard), Some(worker)) = (shard_started, outcome.started) {
+                outcome.work += shard.elapsed();
+                outcome.lifetime = worker.elapsed();
+            }
+            let Some((attempts, error)) = failure else {
+                return;
+            };
+            if fail_fast {
+                outcome.first_failure = Some((idx, attempts, error));
+                abort.store(true, Ordering::Relaxed);
+            } else {
+                outcome.quarantined.push(QuarantinedShard {
+                    shard: idx,
+                    attempts,
+                    error,
+                });
+            }
+        },
+    );
 
-    outcomes.sort_by_key(|o| o.first_shard);
     let first_failure = outcomes
         .iter()
         .enumerate()
@@ -455,7 +419,7 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
     for outcome in outcomes {
         result.merge(outcome.output);
         stats.merge(outcome.stats);
-        cache.merge(outcome.cache);
+        cache.merge(outcome.cx.cache_stats());
         succeeded += outcome.succeeded;
         retries += outcome.retries;
         quarantined.extend(outcome.quarantined);
@@ -463,7 +427,7 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
             obs.observe("extract.worker.work_seconds", outcome.work.as_secs_f64());
             obs.observe(
                 "extract.worker.queue_wait_seconds",
-                outcome.wait.as_secs_f64(),
+                outcome.lifetime.saturating_sub(outcome.work).as_secs_f64(),
             );
         }
     }
@@ -495,41 +459,42 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
     })
 }
 
-/// Everything one worker accumulated, handed back by value over the join
-/// handle — the shared-`Mutex` merge path this replaced serialized every
+/// Everything one worker accumulated, handed back by value from the pool
+/// — the shared-`Mutex` merge path this replaced serialized every
 /// worker's exit on one lock.
 struct WorkerOutcome {
-    /// Lowest shard index this worker pulled (`usize::MAX` if none): the
-    /// deterministic merge-order key.
-    first_shard: usize,
+    /// Statement buffers and interner cache, reused across shards.
+    cx: ExtractContext,
     output: ExtractionOutput,
     stats: ExtractStats,
-    cache: CacheStats,
     succeeded: usize,
     retries: u64,
     quarantined: Vec<QuarantinedShard>,
-    /// Under `FailFast`, the lowest-indexed shard this worker saw fail.
+    /// Under `FailFast`, the shard this worker saw fail.
     first_failure: Option<(usize, u32, ShardError)>,
-    /// Time inside shard attempts, when an observer requested timing.
+    /// When the worker started, if an observer requested timing.
+    started: Option<Instant>,
+    /// Time inside shard attempts.
     work: Duration,
-    /// Worker lifetime minus `work`: scheduling plus cursor waits — the
-    /// straggler signal surfaced as `extract.worker.queue_wait_seconds`.
-    wait: Duration,
+    /// Worker start to the end of its last shard. Minus `work`, that is
+    /// scheduling plus cursor waits — the straggler signal surfaced as
+    /// `extract.worker.queue_wait_seconds`.
+    lifetime: Duration,
 }
 
-impl Default for WorkerOutcome {
-    fn default() -> Self {
+impl WorkerOutcome {
+    fn new(timed: bool) -> Self {
         Self {
-            first_shard: usize::MAX,
+            cx: ExtractContext::new(),
             output: ExtractionOutput::default(),
             stats: ExtractStats::default(),
-            cache: CacheStats::default(),
             succeeded: 0,
             retries: 0,
             quarantined: Vec::new(),
             first_failure: None,
+            started: timed.then(Instant::now), // lint:allow(no-wall-clock): feeds the obs straggler histograms only, never the output
             work: Duration::ZERO,
-            wait: Duration::ZERO,
+            lifetime: Duration::ZERO,
         }
     }
 }
@@ -660,12 +625,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_panics() {
+    fn zero_threads_runs_one_worker() {
         let kb = kb();
-        let docs: Vec<AnnotatedDocument> = Vec::new();
+        let lex = Lexicon::new();
+        let docs = vec![annotate(0, "Kittens are cute.", &kb, &lex)];
         let slice: &[AnnotatedDocument] = &docs;
-        let _ = run_sharded(&slice, &kb, &ExtractionConfig::paper_final(), 0);
+        let config = ExtractionConfig::paper_final();
+        assert_eq!(
+            run_sharded(&slice, &kb, &config, 0),
+            run_sharded(&slice, &kb, &config, 1)
+        );
+        let empty: &[AnnotatedDocument] = &[];
+        assert_eq!(run_sharded(&empty, &kb, &config, 0).total_statements(), 0);
     }
 
     mod fault_tolerance {

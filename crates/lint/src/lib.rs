@@ -31,8 +31,8 @@
 //! - [`output`] — `file:line:col` human listings and the versioned
 //!   (v2) JSON report, with a v1-compatible reader.
 //!
-//! Files are scanned in parallel by a claim-cursor worker pool and
-//! merged back in walk order, then the flow rules run over the full
+//! Files are scanned in parallel on the ordered `surveyor_par` worker
+//! pool and merged back in walk order, then the flow rules run over the full
 //! summary set — so the report is byte-identical at any worker count
 //! and with a cold or warm cache.
 //!
@@ -71,8 +71,6 @@ pub mod walker;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Result of linting a workspace: sorted findings plus scan stats.
 #[derive(Debug, Clone, Default)]
@@ -114,16 +112,16 @@ pub struct LintOptions {
     pub cache_path: Option<PathBuf>,
 }
 
-/// Lints every `.rs` file under `root` using `config`, serially and
-/// without a cache. Findings come back sorted, so two runs over the
-/// same tree are byte-identical. Equivalent to [`lint_workspace_with`]
-/// with default [`LintOptions`].
+/// Lints every `.rs` file under `root` using `config`, on one worker
+/// per available core (capped at 8) and without a cache. Findings come
+/// back sorted, so two runs over the same tree are byte-identical.
+/// Equivalent to [`lint_workspace_with`] with default [`LintOptions`].
 pub fn lint_workspace(root: &Path, config: &config::LintConfig) -> Result<LintRun, LintError> {
     lint_workspace_with(root, config, &LintOptions::default())
 }
 
-/// Lints every `.rs` file under `root` using `config`, with a
-/// claim-cursor worker pool and the incremental cache.
+/// Lints every `.rs` file under `root` using `config`, on the ordered
+/// worker pool and with the incremental cache.
 ///
 /// The pipeline: collect files (sorted), scan each in parallel (cache
 /// hits skip the lex/parse entirely), merge per-file scans back in
@@ -139,88 +137,57 @@ pub fn lint_workspace_with(
     let files = walker::collect_rust_files(root, config)
         .map_err(|e| LintError::Io(format!("walking {}: {e}", root.display())))?;
     let config_hash = cache::fnv1a(format!("{config:?}").as_bytes());
-    let cached = match &opts.cache_path {
-        Some(path) => cache::load(path, config_hash),
-        None => cache::Cache::default(),
+    let mut cached = match &opts.cache_path {
+        Some(path) => cache::load(path, config_hash).entries,
+        None => BTreeMap::new(),
     };
-    // Hand each cached scan out by value: every file is claimed at most
-    // once, so workers `take()` entries instead of deep-cloning them —
-    // on a fully warm run that clone was the second-largest cost after
-    // parsing the cache itself.
-    let cache_total = cached.entries.len();
-    let cached_slots: BTreeMap<String, (u64, Mutex<Option<rules::FileScan>>)> = cached
-        .entries
-        .into_iter()
-        .map(|(rel, entry)| (rel, (entry.hash, Mutex::new(Some(entry.scan)))))
-        .collect();
+    let cache_total = cached.len();
 
     let workers = match opts.workers {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
         n => n,
-    }
-    .min(files.len().max(1));
+    };
 
-    // Claim-cursor fan-out (the PR-5 worker pattern): each worker
-    // claims the next unscanned index; results carry their index so
-    // the merge is in deterministic walk order regardless of timing.
-    let cursor = AtomicUsize::new(0);
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let slots: Vec<Mutex<Option<(u64, rules::FileScan, bool)>>> =
-        (0..files.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(file) = files.get(idx) else {
-                    break;
-                };
-                let src = match std::fs::read(&file.abs) {
-                    Ok(src) => src,
-                    Err(e) => {
-                        if let Ok(mut errs) = errors.lock() {
-                            errs.push(format!("reading {}: {e}", file.rel));
-                        }
-                        continue;
-                    }
-                };
-                let hash = cache::fnv1a(&src);
-                let reusable = match cached_slots.get(&file.rel) {
-                    Some((cached_hash, slot)) if *cached_hash == hash => {
-                        slot.lock().ok().and_then(|mut scan| scan.take())
-                    }
-                    _ => None,
-                };
-                let (scan, reused) = match reusable {
-                    Some(scan) => (scan, true),
-                    None => (
-                        rules::analyze_file(&file.rel, &src, file.is_crate_root, config),
-                        false,
-                    ),
-                };
-                if let Ok(mut slot) = slots[idx].lock() {
-                    *slot = Some((hash, scan, reused));
-                }
-            });
-        }
-    });
-    if let Ok(errs) = errors.lock() {
-        if let Some(first) = errs.first() {
-            return Err(LintError::Io(first.clone()));
-        }
-    }
+    // Scan files on the ordered pool; results come back in walk order
+    // regardless of timing. A cache hit returns no scan: its cached scan
+    // is moved out below, on the calling thread, because cloning scans
+    // is the largest cost of a warm run after parsing the cache.
+    let (scanned, _) = surveyor_par::map(
+        files.len(),
+        workers,
+        || (),
+        |(), idx| {
+            let file = &files[idx];
+            let src = std::fs::read(&file.abs)
+                .map_err(|e| LintError::Io(format!("reading {}: {e}", file.rel)))?;
+            let hash = cache::fnv1a(&src);
+            let fresh = match cached.get(&file.rel) {
+                Some(entry) if entry.hash == hash => None,
+                _ => Some(rules::analyze_file(
+                    &file.rel,
+                    &src,
+                    file.is_crate_root,
+                    config,
+                )),
+            };
+            Ok((hash, fresh))
+        },
+    );
     let mut scans: Vec<rules::FileScan> = Vec::with_capacity(files.len());
     let mut hashes: Vec<u64> = Vec::with_capacity(files.len());
     let mut files_reused = 0usize;
-    for slot in slots {
-        let Ok(mut guard) = slot.lock() else {
-            return Err(LintError::Io(
-                "scan worker poisoned a result slot".to_owned(),
-            ));
+    for (file, scanned) in files.iter().zip(scanned) {
+        let (hash, fresh) = scanned?;
+        let scan = match fresh {
+            Some(scan) => scan,
+            None => {
+                files_reused += 1;
+                cached
+                    .remove(&file.rel)
+                    .ok_or_else(|| LintError::Io(format!("cache entry for {} vanished", file.rel)))?
+                    .scan
+            }
         };
-        let Some((hash, scan, reused)) = guard.take() else {
-            return Err(LintError::Io("scan worker dropped a file".to_owned()));
-        };
-        files_reused += usize::from(reused);
         hashes.push(hash);
         scans.push(scan);
     }

@@ -237,42 +237,9 @@ pub fn fit(counts: &[ObservedCounts], config: &EmConfig) -> EmFit {
     best.expect("at least one restart").1 // lint:allow(no-panic-in-lib): shares is never empty (defaulted above), so the loop always sets best
 }
 
-/// Fits the model with a single EM run warm-started from an explicit
-/// parameter vector — typically the previous snapshot's fit for the same
-/// (type, property) group.
-///
-/// Unlike [`fit`], no restarts are run: when the evidence moved only a
-/// little, the previous optimum is already in the right basin and one
-/// run from it converges in a handful of iterations. The telemetry
-/// (iteration count, traces) therefore differs from a cold [`fit`] even
-/// when both land on the same optimum — callers that need byte-identical
-/// output to a cold run must use [`fit`] and reserve `fit_warm` for
-/// speed-over-reproducibility paths.
-///
-/// # Panics
-/// Panics if `counts` is empty or the grid is empty/out of range.
-pub fn fit_warm(counts: &[ObservedCounts], config: &EmConfig, initial: &ModelParams) -> EmFit {
-    assert!(!counts.is_empty(), "EM needs at least one entity");
-    assert!(!config.pa_grid.is_empty(), "EM needs a non-empty pA grid");
-    for &pa in &config.pa_grid {
-        assert!(
-            (0.5..=1.0).contains(&pa),
-            "pA grid values must lie in [0.5, 1], got {pa}"
-        );
-    }
-    let mut fit = run_em(counts, config, *initial);
-    fit.log_likelihood = mixture_log_likelihood(counts, &fit.params);
-    fit
-}
-
 /// One EM run from a share-seeded initialization.
 fn fit_from(counts: &[ObservedCounts], config: &EmConfig, share: f64) -> EmFit {
-    run_em(counts, config, initial_guess(counts, share))
-}
-
-/// The EM iteration loop from an explicit starting point.
-fn run_em(counts: &[ObservedCounts], config: &EmConfig, start: ModelParams) -> EmFit {
-    let mut params = start;
+    let mut params = initial_guess(counts, share);
     let mut q_trace = Vec::new();
     let mut delta_trace = Vec::new();
     let mut iterations = 0;
@@ -483,52 +450,6 @@ mod tests {
         let fit = fit_from(&counts, &strict, 0.5);
         assert_eq!(fit.converged, ConvergenceReason::MaxIterations);
         assert_eq!(fit.converged.as_str(), "max_iterations");
-    }
-
-    #[test]
-    fn warm_start_from_the_cold_optimum_converges_immediately() {
-        let truth = ModelParams::new(0.9, 80.0, 6.0);
-        let (counts, _) = sample_counts(&truth, 0.4, 500, 31);
-        let cold = fit(&counts, &EmConfig::default());
-        let warm = fit_warm(&counts, &EmConfig::default(), &cold.params);
-        // Restarting EM at a converged optimum must stay there, fast.
-        assert!(warm.iterations <= 2, "iterations = {}", warm.iterations);
-        assert_eq!(warm.converged, ConvergenceReason::Tolerance);
-        assert!((warm.params.p_agree - cold.params.p_agree).abs() < 1e-6);
-        assert!((warm.params.rate_pos - cold.params.rate_pos).abs() < 1e-3);
-        assert_eq!(
-            warm.log_likelihood,
-            mixture_log_likelihood(&counts, &warm.params)
-        );
-    }
-
-    #[test]
-    fn warm_start_reaches_the_cold_likelihood_on_perturbed_counts() {
-        let truth = ModelParams::new(0.9, 60.0, 5.0);
-        let (mut counts, _) = sample_counts(&truth, 0.4, 400, 17);
-        let cold_before = fit(&counts, &EmConfig::default());
-        // A small delta: a few entities gain a handful of statements.
-        for c in counts.iter_mut().take(10) {
-            *c = ObservedCounts::new(c.positive + 2, c.negative);
-        }
-        let cold_after = fit(&counts, &EmConfig::default());
-        let warm = fit_warm(&counts, &EmConfig::default(), &cold_before.params);
-        // The warm run lands within noise of the cold optimum...
-        assert!(
-            (warm.log_likelihood - cold_after.log_likelihood).abs()
-                < 1e-6 * cold_after.log_likelihood.abs(),
-            "warm ll = {}, cold ll = {}",
-            warm.log_likelihood,
-            cold_after.log_likelihood
-        );
-        // ...in fewer iterations than the cheapest cold restart spends.
-        assert!(warm.iterations <= cold_after.iterations);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entity")]
-    fn warm_start_with_empty_counts_panics() {
-        let _ = fit_warm(&[], &EmConfig::default(), &ModelParams::new(0.9, 1.0, 1.0));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod params;
 pub use baselines::{MajorityVote, ScaledMajorityVote, WebChildBaseline};
 pub use counts::ObservedCounts;
 pub use decision::{decide, Decision, ModelDecision};
-pub use em::{fit, fit_warm, ConvergenceReason, EmConfig, EmFit};
+pub use em::{fit, ConvergenceReason, EmConfig, EmFit};
 pub use inference::posterior_positive;
 pub use model::{OpinionModel, SurveyorModel};
 pub use params::ModelParams;

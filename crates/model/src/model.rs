@@ -2,9 +2,8 @@
 
 use crate::counts::ObservedCounts;
 use crate::decision::{decide, ModelDecision};
-use crate::em::{fit, fit_warm, EmConfig, EmFit};
+use crate::em::{fit, EmConfig, EmFit};
 use crate::inference::posterior_positive;
-use crate::params::ModelParams;
 
 /// A method for interpreting the statement counters of one
 /// (type, property) combination — Surveyor's probabilistic model or one of
@@ -42,14 +41,6 @@ impl SurveyorModel {
     /// (used by the parameter-inspection experiments).
     pub fn fit_group(&self, counts: &[ObservedCounts]) -> EmFit {
         fit(counts, &self.config)
-    }
-
-    /// Fits a group with a single EM run warm-started from `initial`
-    /// (typically a previous fit of the same group). Faster than
-    /// [`fit_group`](Self::fit_group) on small evidence deltas but with
-    /// different telemetry — see [`crate::em::fit_warm`].
-    pub fn fit_group_warm(&self, counts: &[ObservedCounts], initial: &ModelParams) -> EmFit {
-        fit_warm(counts, &self.config, initial)
     }
 }
 

@@ -207,8 +207,7 @@ cargo run --release -q -p surveyor-bench --bin bench -- \
 for key in '"schema_version"' '"from_scratch_seconds"' '"delta_sweep"' \
            '"speedup_vs_scratch"' '"byte_identical"' '"corpus_sweep"' \
            '"update_fraction_of_scratch"' '"determinism"' \
-           '"byte_identical_all_threads"' '"byte_identical_after_replay"' \
-           '"warm_seeded"' '"decisions_identical"'; do
+           '"byte_identical_all_threads"' '"byte_identical_after_replay"'; do
     grep -q "$key" artifacts/incremental_smoke.json \
         || { echo "incremental_smoke.json missing $key" >&2; exit 1; }
 done

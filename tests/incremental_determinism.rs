@@ -229,34 +229,3 @@ fn chaos_quarantine_then_replay_reaches_clean_bytes_at_every_thread_count() {
         );
     }
 }
-
-#[test]
-fn seeded_warm_start_reaches_the_same_decisions() {
-    // The opt-in seeded mode trades byte-identity (EM traces differ) for
-    // speed; the decided triples must still match on this well-separated
-    // world.
-    let (kb, generator) = generator(17);
-    let surv = surveyor(kb, 4);
-    let scratch = surv.run(&CorpusSource::new(&generator));
-    let base = mine_prefix(&surv, &generator, SHARDS - 2);
-    let delta = ShardSubset::range(CorpusSource::new(&generator), SHARDS - 2, SHARDS);
-    let seeded = surv
-        .try_update(
-            base,
-            &delta,
-            &RetryPolicy::no_retries(),
-            &FailurePolicy::FailFast,
-            WarmStart::Seeded,
-        )
-        .expect("seeded update");
-    let triples = |output: &SurveyorOutput| {
-        let mut t: Vec<_> = output
-            .triples()
-            .into_iter()
-            .map(|tr| (tr.entity, tr.property, tr.polarity))
-            .collect();
-        t.sort_unstable();
-        t
-    };
-    assert_eq!(triples(&seeded.output), triples(&scratch));
-}

@@ -7,7 +7,8 @@ use surveyor::obs::{MetricsRegistry, RunReport, REPORT_VERSION};
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
 
-fn observed_run() -> (Arc<MetricsRegistry>, SurveyorOutput, SurveyorOutput) {
+/// Two animal domains, and a pipeline configuration that models both.
+fn animal_world() -> (Arc<KnowledgeBase>, World, SurveyorConfig) {
     let mut b = KnowledgeBaseBuilder::new();
     let animal = b.add_type("animal", &["animal"], &[]);
     for name in [
@@ -33,7 +34,11 @@ fn observed_run() -> (Arc<MetricsRegistry>, SurveyorOutput, SurveyorOutput) {
         threads: 2,
         ..SurveyorConfig::default()
     };
+    (kb, world, config)
+}
 
+fn observed_run() -> (Arc<MetricsRegistry>, SurveyorOutput, SurveyorOutput) {
+    let (kb, world, config) = animal_world();
     let registry = Arc::new(MetricsRegistry::new());
     let generator = CorpusGenerator::new(world.clone(), CorpusConfig::default())
         .with_observer(registry.clone());
@@ -137,4 +142,47 @@ fn report_covers_all_phases_and_round_trips() {
     for phase in ["extract", "group", "model", "decide", "index"] {
         assert!(table.contains(phase), "render misses {phase}");
     }
+}
+
+#[test]
+fn observed_update_reports_all_five_phases() {
+    // An update runs the same engine as a mine, so its report carries
+    // the same five phases — decide and index included.
+    let (kb, world, config) = animal_world();
+    let generator = CorpusGenerator::new(world, CorpusConfig::default());
+    let shards = generator.shard_count();
+    let retry = RetryPolicy::no_retries();
+    let base = Surveyor::new(kb.clone(), config.clone())
+        .try_run(
+            &ShardSubset::range(CorpusSource::new(&generator), 0, shards - 1),
+            &retry,
+            &FailurePolicy::FailFast,
+        )
+        .expect("base mine")
+        .output;
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let update = Surveyor::new(kb, config)
+        .with_observer(registry.clone())
+        .try_update(
+            base,
+            &ShardSubset::range(CorpusSource::new(&generator), shards - 1, shards),
+            &retry,
+            &FailurePolicy::FailFast,
+            surveyor::WarmStart::Exact,
+        )
+        .expect("update");
+    assert!(update.stats.groups_refit > 0);
+
+    let report = registry.report();
+    for phase in ["extract", "group", "model", "decide", "index"] {
+        let p = report
+            .phase(phase)
+            .unwrap_or_else(|| panic!("update report misses phase {phase}"));
+        assert!(p.items > 0, "phase {phase} processed no items");
+    }
+    let refit = update.stats.groups_refit as u64;
+    assert_eq!(report.phase("model").unwrap().items, refit);
+    assert_eq!(report.counters["update.groups_refit"], refit);
+    assert_eq!(report.em_groups.len() as u64, refit);
 }

@@ -211,3 +211,17 @@ fn clean_and_chaos_free_paths_agree() {
         .expect("no faults injected");
     assert_eq!(fingerprint(&plain), fingerprint(&hardened.output));
 }
+
+#[test]
+fn zero_threads_runs_every_phase_on_one_worker() {
+    // `threads: 0` clamps to one worker in extraction, grouping and EM
+    // alike, so it must save exactly the snapshot one thread does.
+    let (kb, generator) = generator(17);
+    let one = surveyor(kb.clone(), 1).run(&CorpusSource::new(&generator));
+    let zero = surveyor(kb, 0).run(&CorpusSource::new(&generator));
+    assert!(one.decided_pairs() > 0);
+    assert_eq!(
+        surveyor::save_snapshot(&zero),
+        surveyor::save_snapshot(&one)
+    );
+}
