@@ -18,6 +18,7 @@ use surveyor_eval::{ablation, EvalSuite};
 use surveyor_extract::{run_sharded, EvidenceTable};
 use surveyor_kb::seed as kbseed;
 use surveyor_model::{fit, posterior_positive, EmConfig, ModelParams, ObservedCounts};
+use surveyor_prob::stats::percentile;
 
 /// Configuration shared by all experiment drivers.
 #[derive(Debug, Clone)]
@@ -739,33 +740,7 @@ pub fn scale(cfg: &ReproConfig) -> (String, Value) {
 /// measured phase is exactly annotation (tokenize → tag → parse → entity
 /// tagging) plus pattern extraction — the per-sentence hot path.
 pub fn pipeline(cfg: &ReproConfig) -> (String, Value) {
-    use surveyor::nlp::AnnotatedDocument;
     use surveyor_corpus::RawDocument;
-    use surveyor_extract::ShardSource;
-
-    /// Pre-generated raw shards; annotation happens inside `shard`, so it
-    /// is part of the measured extraction phase.
-    struct RawShards<'a> {
-        shards: Vec<Vec<RawDocument>>,
-        kb: &'a surveyor_kb::KnowledgeBase,
-        lexicon: &'a Lexicon,
-    }
-
-    impl ShardSource for RawShards<'_> {
-        fn shard_count(&self) -> usize {
-            self.shards.len()
-        }
-
-        fn shard(&self, index: usize) -> std::borrow::Cow<'_, [AnnotatedDocument]> {
-            let mut scratch = AnnotateScratch::default();
-            std::borrow::Cow::Owned(
-                self.shards[index]
-                    .iter()
-                    .map(|d| annotate_with(d.id, &d.text, self.kb, self.lexicon, &mut scratch))
-                    .collect(),
-            )
-        }
-    }
 
     let world = presets::table2_world(cfg.seed);
     let generator = CorpusGenerator::new(
@@ -794,24 +769,14 @@ pub fn pipeline(cfg: &ReproConfig) -> (String, Value) {
     let mut rows = Vec::new();
     let mut extraction = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        // One discarded warmup run pays thread spin-up and cold caches;
-        // the median of five timed runs then resists shared-host noise in
-        // both directions (best-of-N systematically understates cost).
-        let mut table = EvidenceTable::new();
-        let mut samples = Vec::with_capacity(TIMED_RUNS);
-        for run in 0..=TIMED_RUNS {
-            let start = Instant::now();
-            table = run_sharded(
+        let (seconds, table) = median_time(TIMED_RUNS, || {
+            run_sharded(
                 &source,
                 world.kb(),
                 &surveyor_extract::ExtractionConfig::paper_final(),
                 threads,
-            );
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let seconds = median(&mut samples);
+            )
+        });
         let docs_per_sec = documents as f64 / seconds;
         rows.push(vec![
             format!("extraction, {threads} threads"),
@@ -862,20 +827,67 @@ pub fn pipeline(cfg: &ReproConfig) -> (String, Value) {
     (text, value)
 }
 
-/// Timed runs per configuration in `bench pipeline` / `bench scale`.
-const TIMED_RUNS: usize = 5;
+/// Pre-generated raw shards for `bench pipeline` and `bench scale`;
+/// annotation happens inside `shard`, so it is part of the measured
+/// extraction phase.
+struct RawShards<'a> {
+    shards: Vec<Vec<surveyor_corpus::RawDocument>>,
+    kb: &'a surveyor_kb::KnowledgeBase,
+    lexicon: &'a Lexicon,
+}
 
-/// Median of a sample set (mean of the middle two for even counts).
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    match samples.len() {
-        0 => 0.0,
-        n if n % 2 == 1 => samples[n / 2],
-        n => (samples[n / 2 - 1] + samples[n / 2]) / 2.0,
+impl surveyor_extract::ShardSource for RawShards<'_> {
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn shard(&self, index: usize) -> std::borrow::Cow<'_, [surveyor::nlp::AnnotatedDocument]> {
+        let mut scratch = AnnotateScratch::default();
+        std::borrow::Cow::Owned(
+            self.shards[index]
+                .iter()
+                .map(|d| annotate_with(d.id, &d.text, self.kb, self.lexicon, &mut scratch))
+                .collect(),
+        )
     }
 }
 
-/// The timing-methodology block embedded in every bench artifact.
+/// Timed runs per configuration outside quick mode.
+const TIMED_RUNS: usize = 5;
+
+/// [`median_time_with`] without a per-run setup.
+fn median_time<T>(timed_runs: usize, mut op: impl FnMut() -> T) -> (f64, T) {
+    median_time_with(timed_runs, || (), |()| op())
+}
+
+/// The one timing loop behind every bench number: one discarded warmup
+/// call (paying thread spin-up and cold caches), then `timed_runs` timed
+/// calls of `op`, each fed a fresh untimed `setup()`. Returns the median
+/// seconds of the timed calls — robust to shared-host noise in both
+/// directions, where best-of-N systematically understates cost — and
+/// the last call's result. [`timing_block`] records exactly this.
+fn median_time_with<S, T>(
+    timed_runs: usize,
+    mut setup: impl FnMut() -> S,
+    mut op: impl FnMut(S) -> T,
+) -> (f64, T) {
+    let mut samples = Vec::with_capacity(timed_runs);
+    let mut last = None;
+    for run in 0..=timed_runs {
+        let input = setup();
+        let start = Instant::now();
+        let out = op(input);
+        if run > 0 {
+            samples.push(start.elapsed().as_secs_f64());
+        }
+        last = Some(out);
+    }
+    let median = percentile(&samples, 50.0).unwrap_or(0.0);
+    (median, last.expect("the warmup call always runs"))
+}
+
+/// The timing-methodology block embedded in every bench artifact: what
+/// [`median_time_with`] does with `timed_runs`.
 fn timing_block(timed_runs: usize) -> Value {
     json!({"warmup_runs": 1, "timed_runs": timed_runs, "statistic": "median"})
 }
@@ -907,46 +919,28 @@ fn fingerprint_shards(shards: &[Vec<surveyor_corpus::RawDocument>]) -> u64 {
 /// grouping phases separately at 1/2/4/8 workers — the numbers behind
 /// `BENCH_scale.json` (`schema_version` 2).
 ///
-/// Besides the speedup curves the artifact records `host_cpus` (speedup is
-/// bounded by physical parallelism — on a 1-CPU host every curve is flat
-/// and that is the honest result), a determinism block asserting that
-/// document fingerprints, statement counts, decided pairs, and grouped
-/// evidence are identical across thread counts, and the interner cache
-/// counters that prove the steady-state extraction path stays off the
-/// global table.
+/// Besides the speedup curves (read them against the `host_cpus` that
+/// `bench` stamps: speedup is bounded by physical parallelism — on
+/// a 1-CPU host every curve is flat and that is the honest result), the
+/// artifact carries a determinism block asserting that document
+/// fingerprints, statement counts, decided pairs, and grouped evidence are
+/// identical across thread counts, and the interner cache counters that
+/// prove the steady-state extraction path stays off the global table.
+///
+/// With `assert_tolerance` set, the curves are checked against their
+/// target curves ([`crate::scaling`]): the verdict is appended to the
+/// text and embedded in the artifact under `assert_scaling`.
 ///
 /// `quick` shrinks the corpus and run count so `scripts/verify.sh` can
 /// smoke-test the artifact schema in seconds.
-pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
+pub fn scale_sweep(
+    cfg: &ReproConfig,
+    quick: bool,
+    assert_tolerance: Option<f64>,
+) -> (String, Value) {
     use std::sync::Arc;
-    use surveyor::nlp::AnnotatedDocument;
     use surveyor::obs::MetricsRegistry;
     use surveyor_corpus::RawDocument;
-    use surveyor_extract::ShardSource;
-
-    /// Pre-generated raw shards; annotation happens inside `shard`, so it
-    /// is part of the measured extraction phase (as in `bench pipeline`).
-    struct RawShards<'a> {
-        shards: Vec<Vec<RawDocument>>,
-        kb: &'a surveyor_kb::KnowledgeBase,
-        lexicon: &'a Lexicon,
-    }
-
-    impl ShardSource for RawShards<'_> {
-        fn shard_count(&self) -> usize {
-            self.shards.len()
-        }
-
-        fn shard(&self, index: usize) -> std::borrow::Cow<'_, [AnnotatedDocument]> {
-            let mut scratch = AnnotateScratch::default();
-            std::borrow::Cow::Owned(
-                self.shards[index]
-                    .iter()
-                    .map(|d| annotate_with(d.id, &d.text, self.kb, self.lexicon, &mut scratch))
-                    .collect(),
-            )
-        }
-    }
 
     let background_per_type = if quick { 60 } else { 4800 };
     let num_shards = if quick { 16 } else { 64 };
@@ -973,15 +967,8 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let mut shards: Vec<Vec<RawDocument>> = Vec::new();
     let mut generation_t1 = 0.0f64;
     for threads in thread_counts {
-        let mut samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            shards = generator.all_shards_text(threads);
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let seconds = median(&mut samples);
+        let seconds;
+        (seconds, shards) = median_time(timed_runs, || generator.all_shards_text(threads));
         if threads == 1 {
             generation_t1 = seconds;
         }
@@ -1007,22 +994,16 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     };
     let extraction_config = surveyor_extract::ExtractionConfig::paper_final();
 
-    // Extraction sweep. One warmup then `timed_runs` timed runs per thread
-    // count; the warmup also yields the evidence reused by the model sweep.
+    // Extraction sweep; the last run's evidence feeds the model sweep.
     let mut extraction = Vec::new();
     let mut statement_counts = Vec::new();
     let mut evidence = EvidenceTable::new();
     let mut extraction_t1 = 0.0f64;
     for threads in thread_counts {
-        let mut samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            evidence = run_sharded(&source, world.kb(), &extraction_config, threads);
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let seconds = median(&mut samples);
+        let seconds;
+        (seconds, evidence) = median_time(timed_runs, || {
+            run_sharded(&source, world.kb(), &extraction_config, threads)
+        });
         if threads == 1 {
             extraction_t1 = seconds;
         }
@@ -1053,17 +1034,9 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                 ..SurveyorConfig::default()
             },
         );
-        let mut samples = Vec::with_capacity(timed_runs);
-        let mut decided = 0usize;
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            let output = surveyor.run_on_evidence(evidence.clone());
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-            decided = output.decided_pairs();
-        }
-        let seconds = median(&mut samples);
+        let (seconds, output) =
+            median_time(timed_runs, || surveyor.run_on_evidence(evidence.clone()));
+        let decided = output.decided_pairs();
         if threads == 1 {
             model_t1 = seconds;
         }
@@ -1090,26 +1063,13 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let mut group_snapshots: Vec<surveyor_extract::GroupedEvidence> = Vec::new();
     let mut group_t1 = 0.0f64;
     for threads in thread_counts {
-        let mut samples = Vec::with_capacity(timed_runs);
-        let mut grouped = None;
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            let g = surveyor_extract::GroupedEvidence::from_table_parallel(
-                &evidence,
-                world.kb(),
-                threads,
-            );
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-            grouped = Some(g);
-        }
-        let seconds = median(&mut samples);
+        let (seconds, grouped) = median_time(timed_runs, || {
+            surveyor_extract::GroupedEvidence::from_table_parallel(&evidence, world.kb(), threads)
+        });
         if threads == 1 {
             group_t1 = seconds;
         }
         let speedup = group_t1 / seconds;
-        let grouped = grouped.unwrap_or_default();
         rows.push(vec![
             format!("group, {threads} threads"),
             format!("{seconds:.3}s"),
@@ -1148,18 +1108,17 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         0.0
     };
 
-    let text = format!(
+    let mut text = format!(
         "Thread scaling — {documents} documents, {num_shards} shards, {host_cpus} host CPUs\n{}\nintern cache: {cache_hits} hits, {global_lookups} global lookups ({:.1}% local)",
         render::table(&["Stage", "Median time", "Speedup", "Detail"], &rows),
         hit_rate * 100.0,
     );
-    let value = json!({
+    let mut value = json!({
         "schema_version": 2,
         "preset": "table2_world_sized",
         "background_per_type": background_per_type,
         "seed": cfg.seed, "shards": num_shards,
         "documents": documents,
-        "host_cpus": host_cpus,
         "quick": quick,
         "timing": timing_block(timed_runs),
         "phases": json!({
@@ -1183,6 +1142,13 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             "hit_rate": hit_rate,
         }),
     });
+    if let Some(tolerance) = assert_tolerance {
+        let verdict = crate::scaling::evaluate(&value, host_cpus as u64, tolerance);
+        text = format!("{text}\n{}", crate::scaling::render(&verdict));
+        if let Value::Object(obj) = &mut value {
+            obj.insert("assert_scaling".to_owned(), verdict);
+        }
+    }
     (text, value)
 }
 
@@ -1215,42 +1181,17 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 
     // Re-mine timings: the full pipeline (generation + extraction +
     // grouping + EM + decisions) a snapshot load replaces.
-    let mut output = surveyor.run(&source);
-    let mut remine_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
-        output = surveyor.run(&source);
-        if run > 0 {
-            remine_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let remine_seconds = median(&mut remine_samples);
+    let (remine_seconds, output) = median_time(timed_runs, || surveyor.run(&source));
 
     // Encode timings.
-    let mut bytes = surveyor::save_snapshot(&output);
-    let mut encode_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
-        bytes = surveyor::save_snapshot(&output);
-        if run > 0 {
-            encode_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let encode_seconds = median(&mut encode_samples);
+    let (encode_seconds, bytes) = median_time(timed_runs, || surveyor::save_snapshot(&output));
     let megabytes = bytes.len() as f64 / (1024.0 * 1024.0);
     let encode_mb_s = megabytes / encode_seconds.max(f64::EPSILON);
 
     // Decode (load) timings: bytes back to a full mined world.
-    let mut loaded = surveyor::load_snapshot(&bytes).expect("own snapshot decodes");
-    let mut load_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
-        loaded = surveyor::load_snapshot(&bytes).expect("own snapshot decodes");
-        if run > 0 {
-            load_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let load_seconds = median(&mut load_samples);
+    let (load_seconds, loaded) = median_time(timed_runs, || {
+        surveyor::load_snapshot(&bytes).expect("own snapshot decodes")
+    });
     let decode_mb_s = megabytes / load_seconds.max(f64::EPSILON);
     let speedup = remine_seconds / load_seconds.max(f64::EPSILON);
 
@@ -1336,21 +1277,14 @@ pub fn lint_bench(root: &std::path::Path, quick: bool) -> Result<(String, Value)
             workers,
             cache_path: None,
         };
-        let mut run = lint(&opts)?;
-        let mut samples = Vec::with_capacity(timed_runs);
-        for timed in 0..=timed_runs {
-            let start = Instant::now();
-            run = lint(&opts)?;
-            if timed > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
+        let (seconds, run) = median_time(timed_runs, || lint(&opts));
+        let run = run?;
         let rendered = render_json(&run.findings, run.files_scanned);
         match &reference {
             None => reference = Some(rendered),
             Some(want) => identical_across_workers &= *want == rendered,
         }
-        sweep.push((workers, median(&mut samples), run));
+        sweep.push((workers, seconds, run));
     }
     let (_, t1, base) = &sweep[0];
     let best = sweep
@@ -1372,16 +1306,8 @@ pub fn lint_bench(root: &std::path::Path, quick: bool) -> Result<(String, Value)
     let start = Instant::now();
     let cold = lint(&opts)?;
     let cold_seconds = start.elapsed().as_secs_f64();
-    let mut warm_samples = Vec::with_capacity(timed_runs);
-    let mut warm = lint(&opts)?;
-    for timed in 0..=timed_runs {
-        let start = Instant::now();
-        warm = lint(&opts)?;
-        if timed > 0 {
-            warm_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let warm_seconds = median(&mut warm_samples);
+    let (warm_seconds, warm) = median_time(timed_runs, || lint(&opts));
+    let warm = warm?;
     let _ = std::fs::remove_file(&cache_path);
     let reuse_fraction = warm.files_reused as f64 / warm.files_scanned.max(1) as f64;
     let warm_identical = render_json(&warm.findings, warm.files_scanned)
@@ -1501,16 +1427,6 @@ fn http_get_patient(addr: std::net::SocketAddr, path: &str) -> Option<(u16, Stri
     last
 }
 
-/// Nearest-rank percentile of a sample set (sorts in place).
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (samples.len() - 1) as f64).round() as usize;
-    samples[rank.min(samples.len() - 1)]
-}
-
 /// `bench serve`: query-server throughput and chaos resilience — the
 /// numbers behind `BENCH_serve.json`.
 ///
@@ -1622,7 +1538,7 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     for clients in [1usize, 2, 4, 8] {
         let errors = AtomicUsize::new(0);
         let started = Instant::now();
-        let mut latencies_ms: Vec<f64> = std::thread::scope(|scope| {
+        let latencies_ms: Vec<f64> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..clients)
                 .map(|c| {
                     let targets = &targets;
@@ -1652,8 +1568,8 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         let wall = started.elapsed().as_secs_f64();
         let ok = latencies_ms.len();
         let qps = ok as f64 / wall.max(f64::EPSILON);
-        let p50_ms = percentile(&mut latencies_ms, 50.0);
-        let p99_ms = percentile(&mut latencies_ms, 99.0);
+        let p50_ms = percentile(&latencies_ms, 50.0).unwrap_or(0.0);
+        let p99_ms = percentile(&latencies_ms, 99.0).unwrap_or(0.0);
         let errors = errors.into_inner();
         rows.push(vec![
             format!("{clients} clients"),
@@ -1999,16 +1915,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     };
 
     // From-scratch reference: the full corpus, mined cold.
-    let mut scratch = surveyor.run(&source);
-    let mut scratch_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
-        scratch = surveyor.run(&source);
-        if run > 0 {
-            scratch_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let scratch_seconds = median(&mut scratch_samples);
+    let (scratch_seconds, scratch) = median_time(timed_runs, || surveyor.run(&source));
     let scratch_bytes = surveyor::save_snapshot(&scratch);
 
     // (1) Delta sweep: base = all but the last `d` shards, delta = the
@@ -2019,22 +1926,19 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     for &d in &delta_sizes {
         let base_shards = num_shards - d;
         let base = mine_base(&surveyor, &generator, base_shards);
-        let mut outcome = None;
-        let mut samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let input = base.clone();
-            let delta = ShardSubset::range(CorpusSource::new(&generator), base_shards, num_shards);
-            let start = Instant::now();
-            let out = surveyor
-                .try_update(input, &delta, &retry, &policy, WarmStart::Exact)
-                .expect("clean update");
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-            outcome = Some(out);
-        }
-        let update_seconds = median(&mut samples);
-        let outcome = outcome.expect("at least one update ran");
+        let (update_seconds, outcome) = median_time_with(
+            timed_runs,
+            || {
+                let delta =
+                    ShardSubset::range(CorpusSource::new(&generator), base_shards, num_shards);
+                (base.clone(), delta)
+            },
+            |(input, delta)| {
+                surveyor
+                    .try_update(input, &delta, &retry, &policy, WarmStart::Exact)
+                    .expect("clean update")
+            },
+        );
         let byte_identical = surveyor::save_snapshot(&outcome.output) == scratch_bytes;
         let speedup = scratch_seconds / update_seconds.max(f64::EPSILON);
         let stats = outcome.stats;
@@ -2073,29 +1977,20 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     for n in [num_shards / 4, num_shards / 2, num_shards] {
         let generator_n = make_generator(n);
         let source_n = CorpusSource::new(&generator_n);
-        let mut scratch_n_samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            let _ = surveyor.run(&source_n);
-            if run > 0 {
-                scratch_n_samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let scratch_n = median(&mut scratch_n_samples);
+        let (scratch_n, _) = median_time(timed_runs, || surveyor.run(&source_n));
         let base = mine_base(&surveyor, &generator_n, n - fixed_delta);
-        let mut update_n_samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let input = base.clone();
-            let delta = ShardSubset::range(CorpusSource::new(&generator_n), n - fixed_delta, n);
-            let start = Instant::now();
-            let _ = surveyor
-                .try_update(input, &delta, &retry, &policy, WarmStart::Exact)
-                .expect("clean update");
-            if run > 0 {
-                update_n_samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let update_n = median(&mut update_n_samples);
+        let (update_n, _) = median_time_with(
+            timed_runs,
+            || {
+                let delta = ShardSubset::range(CorpusSource::new(&generator_n), n - fixed_delta, n);
+                (base.clone(), delta)
+            },
+            |(input, delta)| {
+                surveyor
+                    .try_update(input, &delta, &retry, &policy, WarmStart::Exact)
+                    .expect("clean update")
+            },
+        );
         corpus_table.push(vec![
             format!("{n}"),
             format!("{fixed_delta}"),
@@ -2207,7 +2102,6 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let value = json!({
         "schema_version": 2,
         "preset": "long_tail_world",
-        "host_cpus": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "seed": cfg.seed,
         "shards": num_shards,
         "rho": rho,
@@ -2287,6 +2181,37 @@ mod tests {
     fn fig6_posterior_is_positive_for_60_3() {
         let (_, value) = fig6(&tiny());
         assert!(value["posterior_60_3"].as_f64().unwrap() > 0.99);
+    }
+
+    #[test]
+    fn median_time_discards_one_warmup_and_takes_the_interpolated_median() {
+        use std::time::Duration;
+        // Run 0 is the warmup; a 150 ms warmup inside the samples would
+        // pull the median of these four timed runs from 55 ms to 70 ms.
+        let sleeps_ms = [150u64, 10, 100, 40, 70];
+        let mut calls = 0usize;
+        let mut setups = 0usize;
+        let (median, last) = median_time_with(
+            4,
+            || {
+                setups += 1;
+                setups - 1
+            },
+            |run| {
+                calls += 1;
+                std::thread::sleep(Duration::from_millis(sleeps_ms[run]));
+                run
+            },
+        );
+        assert_eq!((calls, setups, last), (5, 5, 4));
+        // percentile(timed samples, 50) = (40 + 70) / 2 ms plus sleep
+        // overshoot; nearest-rank would give 70 ms.
+        assert!((0.055..0.068).contains(&median), "{median}");
+        let (_, last) = median_time(3, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!(last, 9);
     }
 
     #[test]

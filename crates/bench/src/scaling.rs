@@ -51,13 +51,12 @@ pub fn required_speedup(threads: u64, host_cpus: u64, efficiency: f64) -> f64 {
     1.0 + (usable - 1.0) * efficiency
 }
 
-/// Evaluates every phase curve in `artifact` against its target curve and
-/// returns the `assert_scaling` verdict object: per-phase pass/fail with
-/// the worst-margin row, plus an overall `verdict` of `"pass"` or
-/// `"fail"`. Phases absent from the artifact fail (a regression gate that
+/// Evaluates every phase curve in `artifact` against its target curve on
+/// a host with `host_cpus` CPUs and returns the `assert_scaling` verdict
+/// object: per-phase pass/fail with the worst-margin row, plus an overall
+/// `verdict` of `"pass"` or `"fail"`. Phases absent from the artifact fail (a regression gate that
 /// silently skips a missing curve is no gate).
-pub fn evaluate(artifact: &Value, tolerance: f64) -> Value {
-    let host_cpus = artifact["host_cpus"].as_u64().unwrap_or(1);
+pub fn evaluate(artifact: &Value, host_cpus: u64, tolerance: f64) -> Value {
     let mut phases = serde_json::Map::new();
     let mut all_pass = true;
     for &(phase, efficiency) in PHASE_EFFICIENCY {
@@ -178,12 +177,12 @@ mod tests {
             .collect()
     }
 
-    fn artifact(host_cpus: u64, speedups: &[(&str, &[f64])]) -> Value {
+    fn artifact(speedups: &[(&str, &[f64])]) -> Value {
         let mut phases = serde_json::Map::new();
         for (phase, curve) in speedups {
             phases.insert((*phase).to_owned(), json!(phase_rows(curve)));
         }
-        json!({"host_cpus": host_cpus, "phases": Value::Object(phases)})
+        json!({"phases": Value::Object(phases)})
     }
 
     const FLAT: &[f64] = &[1.0, 1.0, 1.0, 1.0];
@@ -198,31 +197,25 @@ mod tests {
 
     #[test]
     fn flat_curves_pass_on_one_cpu() {
-        let artifact = artifact(
-            1,
-            &[
-                ("generation", FLAT),
-                ("extraction", FLAT),
-                ("model", FLAT),
-                ("group", FLAT),
-            ],
-        );
-        let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
+        let artifact = artifact(&[
+            ("generation", FLAT),
+            ("extraction", FLAT),
+            ("model", FLAT),
+            ("group", FLAT),
+        ]);
+        let verdict = evaluate(&artifact, 1, DEFAULT_TOLERANCE);
         assert!(passed(&verdict), "{verdict:?}");
     }
 
     #[test]
     fn slowdown_beyond_tolerance_fails_even_on_one_cpu() {
-        let artifact = artifact(
-            1,
-            &[
-                ("generation", &[1.0, 0.5, 0.5, 0.5]),
-                ("extraction", FLAT),
-                ("model", FLAT),
-                ("group", FLAT),
-            ],
-        );
-        let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
+        let artifact = artifact(&[
+            ("generation", &[1.0, 0.5, 0.5, 0.5]),
+            ("extraction", FLAT),
+            ("model", FLAT),
+            ("group", FLAT),
+        ]);
+        let verdict = evaluate(&artifact, 1, DEFAULT_TOLERANCE);
         assert!(!passed(&verdict), "{verdict:?}");
         assert_eq!(verdict["phases"]["generation"]["pass"], json!(false));
         assert_eq!(verdict["phases"]["extraction"]["pass"], json!(true));
@@ -232,16 +225,13 @@ mod tests {
     fn sublinear_curve_fails_on_multicore() {
         // 8 CPUs, but extraction stalls at 1.2x: required at 8 threads is
         // 1 + 7*0.7 = 5.9, allowed 4.425 — clear regression.
-        let artifact = artifact(
-            8,
-            &[
-                ("generation", &[1.0, 1.9, 3.6, 6.5]),
-                ("extraction", &[1.0, 1.1, 1.2, 1.2]),
-                ("model", &[1.0, 1.8, 3.2, 5.0]),
-                ("group", &[1.0, 1.2, 1.5, 1.8]),
-            ],
-        );
-        let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
+        let artifact = artifact(&[
+            ("generation", &[1.0, 1.9, 3.6, 6.5]),
+            ("extraction", &[1.0, 1.1, 1.2, 1.2]),
+            ("model", &[1.0, 1.8, 3.2, 5.0]),
+            ("group", &[1.0, 1.2, 1.5, 1.8]),
+        ]);
+        let verdict = evaluate(&artifact, 8, DEFAULT_TOLERANCE);
         assert!(!passed(&verdict));
         assert_eq!(verdict["phases"]["extraction"]["pass"], json!(false));
         assert_eq!(verdict["phases"]["generation"]["pass"], json!(true));
@@ -258,7 +248,6 @@ mod tests {
             .map(|t| json!({"threads": t, "seconds": 0.0004, "speedup": 0.4}))
             .collect();
         let artifact = json!({
-            "host_cpus": 1,
             "phases": json!({
                 "generation": phase_rows(FLAT),
                 "extraction": phase_rows(FLAT),
@@ -266,7 +255,7 @@ mod tests {
                 "group": sub_floor,
             }),
         });
-        let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
+        let verdict = evaluate(&artifact, 1, DEFAULT_TOLERANCE);
         assert!(passed(&verdict), "{verdict:?}");
         assert_eq!(verdict["phases"]["group"]["rows_below_floor"], json!(4));
         assert!(verdict["phases"]["group"]["worst"].is_null());
@@ -274,8 +263,8 @@ mod tests {
 
     #[test]
     fn missing_phase_fails_closed() {
-        let artifact = artifact(1, &[("generation", FLAT)]);
-        let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
+        let artifact = artifact(&[("generation", FLAT)]);
+        let verdict = evaluate(&artifact, 1, DEFAULT_TOLERANCE);
         assert!(!passed(&verdict));
         assert!(verdict["phases"]["group"]["error"].as_str().is_some());
     }
