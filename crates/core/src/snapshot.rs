@@ -13,7 +13,7 @@
 //! identically.
 
 use crate::pipeline::{DomainResult, SurveyorOutput};
-use std::collections::BTreeMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::fmt;
 use std::sync::Arc;
 use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceTable};
@@ -54,31 +54,32 @@ impl From<WireError> for SnapshotError {
 /// Flattens a pipeline output into the portable snapshot model.
 pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
     let kb = output.kb();
-    let evidence_entries = output.evidence.to_entries();
-    let provenance_entries = output.provenance.to_entries();
 
     // The snapshot-local property table: every property referenced
     // anywhere, deduplicated and sorted by the resolved form. Indexes
     // into this table are the only property references on the wire —
-    // process-local interner ids depend on thread interleaving.
-    let mut table: BTreeMap<Property, u32> = BTreeMap::new();
-    for entry in &evidence_entries {
-        table.entry(entry.property.clone()).or_default();
-    }
-    for entry in &provenance_entries {
-        table.entry(entry.property.clone()).or_default();
-    }
-    for result in &output.results {
-        table.entry(result.key.property.resolve()).or_default();
-    }
-    let mut properties = Vec::with_capacity(table.len());
-    for (rank, (property, index)) in table.iter_mut().enumerate() {
-        *index = rank as u32;
-        properties.push(SnapshotProperty {
+    // process-local interner ids depend on thread interleaving. Each
+    // distinct id is resolved once; rows then carry their id's rank in
+    // this table, so sorting rows by `(entity, rank)` gives the same order
+    // as sorting them by `(entity, resolved property)`.
+    let mut ids: FxHashSet<PropertyId> = output.evidence.iter().map(|(&(_, p), _)| p).collect();
+    ids.extend(output.provenance.iter().map(|(&(_, p), _)| p));
+    ids.extend(output.results.iter().map(|result| result.key.property));
+    let mut table: Vec<(Property, PropertyId)> =
+        ids.into_iter().map(|id| (id.resolve(), id)).collect();
+    table.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let rank: FxHashMap<PropertyId, u32> = table
+        .iter()
+        .enumerate()
+        .map(|(rank, &(_, id))| (id, rank as u32))
+        .collect();
+    let properties = table
+        .into_iter()
+        .map(|(property, _)| SnapshotProperty {
             adverbs: property.adverbs().to_vec(),
             adjective: property.head().to_string(),
-        });
-    }
+        })
+        .collect();
 
     let types = kb
         .types()
@@ -105,30 +106,34 @@ pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
         })
         .collect();
 
-    let evidence = evidence_entries
+    let mut evidence: Vec<EvidenceRow> = output
+        .evidence
         .iter()
-        .map(|entry| EvidenceRow {
-            entity: entry.entity.0,
-            property: table[&entry.property],
-            positive: entry.positive,
-            negative: entry.negative,
+        .map(|(&(entity, property), counts)| EvidenceRow {
+            entity: entity.0,
+            property: rank[&property],
+            positive: counts.positive,
+            negative: counts.negative,
         })
         .collect();
+    evidence.sort_unstable_by_key(|row| (row.entity, row.property));
 
-    let provenance = provenance_entries
+    let mut provenance: Vec<ProvenanceRow> = output
+        .provenance
         .iter()
-        .map(|entry| ProvenanceRow {
-            entity: entry.entity.0,
-            property: table[&entry.property],
-            documents: entry.documents.clone(),
+        .map(|(&(entity, property), documents)| ProvenanceRow {
+            entity: entity.0,
+            property: rank[&property],
+            documents: documents.clone(),
         })
         .collect();
+    provenance.sort_unstable_by_key(|row| (row.entity, row.property));
 
     let mut models = Vec::with_capacity(output.results.len());
     let mut decisions = Vec::with_capacity(output.results.len());
     for result in &output.results {
         let type_index = result.key.type_id.0;
-        let property = table[&result.key.property.resolve()];
+        let property = rank[&result.key.property];
         models.push(ModelRow {
             type_index,
             property,
@@ -551,6 +556,63 @@ mod tests {
             output_from_snapshot(&bad).err(),
             Some(SnapshotError::Corrupt("decision entity out of range"))
         );
+    }
+
+    #[test]
+    fn property_table_follows_resolved_order_not_intern_order() {
+        let mut b = KnowledgeBaseBuilder::new();
+        let animal = b.add_type("animal", &["animal"], &[]);
+        for name in ["Kitten", "Tiger"] {
+            b.add_entity(name, animal).finish();
+        }
+        let kb = Arc::new(b.build());
+        // Interned last-first, so id order is the reverse of resolved
+        // order (the names are unique to this test, so no other test can
+        // have interned them first).
+        let names = ["snapshotorder-c", "snapshotorder-b", "snapshotorder-a"];
+        let properties: Vec<Property> = names.iter().map(|n| Property::adjective(n)).collect();
+        let ids: Vec<PropertyId> = properties.iter().map(PropertyId::intern).collect();
+        assert!(ids[0].0 < ids[1].0 && ids[1].0 < ids[2].0);
+
+        let mut table = EvidenceTable::new();
+        let mut prov = ProvenanceTable::new(2);
+        for (doc, name) in ["Tiger", "Kitten"].iter().enumerate() {
+            let entity = kb.entity_by_name(name).unwrap();
+            for property in &properties {
+                let s = Statement::new(entity, property, Polarity::Positive);
+                table.add(&s);
+                prov.record(&s, doc as u64);
+            }
+        }
+        let surveyor = Surveyor::new(kb, SurveyorConfig::default());
+        let mut output = surveyor.run_on_evidence(table);
+        output.provenance = prov;
+
+        let snapshot = snapshot_output(&output);
+        let adjectives: Vec<&str> = snapshot
+            .properties
+            .iter()
+            .map(|p| p.adjective.as_str())
+            .collect();
+        assert_eq!(
+            adjectives,
+            ["snapshotorder-a", "snapshotorder-b", "snapshotorder-c"]
+        );
+        let keys: Vec<(u32, u32)> = snapshot
+            .evidence
+            .iter()
+            .map(|r| (r.entity, r.property))
+            .collect();
+        assert_eq!(keys, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
+        let prov_keys: Vec<(u32, u32)> = snapshot
+            .provenance
+            .iter()
+            .map(|r| (r.entity, r.property))
+            .collect();
+        assert_eq!(prov_keys, keys);
+        // Kitten (entity 0) was recorded in document 1, Tiger in document 0.
+        assert!(snapshot.provenance[..3].iter().all(|r| r.documents == [1]));
+        assert!(snapshot.provenance[3..].iter().all(|r| r.documents == [0]));
     }
 
     #[test]

@@ -89,6 +89,12 @@ impl ProvenanceTable {
         self.sample_size
     }
 
+    /// Iterates over all pairs and their document samples (arbitrary
+    /// order).
+    pub fn iter(&self) -> impl Iterator<Item = (&(EntityId, PropertyId), &Vec<u64>)> {
+        self.map.iter()
+    }
+
     /// The table as a portable entry list, sorted by `(entity, property)`
     /// with properties resolved to their surface form — the same shape the
     /// serde codec and the binary snapshot format use.

@@ -2,8 +2,9 @@
 
 use crate::entity::Entity;
 use crate::ids::{EntityId, TypeId};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// An entity type (paper: "most notable type" of a Freebase entity).
 ///
@@ -79,6 +80,13 @@ pub fn normalize_surface(s: &str) -> String {
         .join(" ")
 }
 
+/// The key of a word in [`KnowledgeBase::is_alias_head`]'s set.
+fn head_hash(word: &str) -> u64 {
+    let mut hasher = FxHasher::default();
+    word.hash(&mut hasher);
+    hasher.finish()
+}
+
 /// The knowledge base: typed entities with alias and type indexes.
 ///
 /// Construction goes through [`crate::KnowledgeBaseBuilder`]; the built
@@ -92,6 +100,12 @@ pub struct KnowledgeBase {
     /// normalized surface form -> candidate entities (ambiguity possible).
     #[serde(skip)]
     alias_index: FxHashMap<String, Vec<EntityId>>,
+    /// Hash of the first word of every normalized surface form: a token
+    /// outside this set cannot start an exact alias match. A collision
+    /// only sends a token down the full probe, never changes a match, so
+    /// the set holds 8-byte hashes rather than one owned `String` per form.
+    #[serde(skip)]
+    alias_heads: FxHashSet<u64>,
     /// normalized type name -> type id.
     #[serde(skip)]
     type_index: FxHashMap<String, TypeId>,
@@ -102,6 +116,7 @@ impl KnowledgeBase {
     pub(crate) fn from_parts(types: Vec<EntityType>, entities: Vec<Entity>) -> Self {
         let mut by_type = vec![Vec::new(); types.len()];
         let mut alias_index: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
+        let mut alias_heads = FxHashSet::default();
         let mut type_index = FxHashMap::default();
         let mut max_alias_tokens = 0;
         for t in &types {
@@ -112,6 +127,9 @@ impl KnowledgeBase {
             for form in e.surface_forms() {
                 let norm = normalize_surface(form);
                 max_alias_tokens = max_alias_tokens.max(norm.split(' ').count());
+                if let Some(head) = norm.split(' ').next() {
+                    alias_heads.insert(head_hash(head));
+                }
                 let slot = alias_index.entry(norm).or_default();
                 if !slot.contains(&e.id()) {
                     slot.push(e.id());
@@ -123,6 +141,7 @@ impl KnowledgeBase {
             entities,
             by_type,
             alias_index,
+            alias_heads,
             type_index,
             max_alias_tokens,
         }
@@ -190,6 +209,13 @@ impl KnowledgeBase {
             .get(normalized)
             .map(Vec::as_slice)
             .unwrap_or(&[])
+    }
+
+    /// Whether some normalized surface form starts with the lowercase word
+    /// `word` — the entity tagger's gate before it probes windows that
+    /// begin at a token.
+    pub fn is_alias_head(&self, word: &str) -> bool {
+        self.alias_heads.contains(&head_hash(word))
     }
 
     /// Longest alias length in tokens; the entity tagger's match window.
@@ -286,6 +312,16 @@ mod tests {
     #[test]
     fn normalize_surface_collapses_case_and_space() {
         assert_eq!(normalize_surface("  San   FRANCISCO "), "san francisco");
+    }
+
+    #[test]
+    fn alias_heads_are_first_words() {
+        let kb = kb();
+        assert!(kb.is_alias_head("san"));
+        assert!(kb.is_alias_head("sf"));
+        assert!(kb.is_alias_head("phoenix"));
+        assert!(!kb.is_alias_head("francisco"));
+        assert!(!kb.is_alias_head("bird"));
     }
 
     #[test]

@@ -154,6 +154,16 @@ mod tests {
     }
 
     #[test]
+    fn annotates_non_ascii_words() {
+        let kb = kb();
+        let lex = Lexicon::new();
+        let doc = annotate(4, "éé is big. Kittens are cute.", &kb, &lex);
+        assert_eq!(doc.sentences.len(), 2);
+        assert_eq!(doc.sentences[0].tokens.text_of(0), "éé");
+        assert_eq!(doc.mention_count(), 1);
+    }
+
+    #[test]
     fn serde_round_trip() {
         let kb = kb();
         let lex = Lexicon::new();

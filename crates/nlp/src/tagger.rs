@@ -12,7 +12,7 @@
 //!    sentence contains context cues (type head nouns or cue words) for
 //!    exactly one candidate's type — otherwise the mention is dropped.
 
-use crate::token::{singularize, TokenizedSentence};
+use crate::token::{singular_parts, TokenizedSentence};
 use serde::{Deserialize, Serialize};
 use surveyor_kb::{EntityId, KnowledgeBase};
 
@@ -51,13 +51,14 @@ fn lemma_window<'a>(
     end: usize,
     scratch: &'a mut String,
 ) -> Option<&'a str> {
-    let singular = singularize(tokens.lower_of(end - 1))?;
+    let (stem, suffix) = singular_parts(tokens.lower_of(end - 1))?;
     scratch.clear();
     scratch.push_str(tokens.window_lower(start, end - 1));
     if end - 1 > start {
         scratch.push(' ');
     }
-    scratch.push_str(&singular);
+    scratch.push_str(stem);
+    scratch.push_str(suffix);
     Some(scratch)
 }
 
@@ -67,13 +68,13 @@ fn lemma_window<'a>(
 fn disambiguate(
     kb: &KnowledgeBase,
     candidates: &[EntityId],
-    sentence_words: &[&str],
+    tokens: &TokenizedSentence,
 ) -> Option<EntityId> {
     let mut matching = Vec::new();
     for &cand in candidates {
         let t = kb.entity_type(kb.entity(cand).notable_type());
-        let cued = sentence_words
-            .iter()
+        let cued = (0..tokens.len())
+            .map(|i| tokens.lower_of(i))
             .any(|w| t.matches_head_noun(w) || t.context_cues().iter().any(|c| c == w));
         if cued {
             matching.push(cand);
@@ -89,21 +90,34 @@ fn disambiguate(
 ///
 /// Mentions never overlap; matching is greedy left-to-right with longer
 /// windows tried first.
+///
+/// Every window starting at token `i`, exact or lemmatized, begins with
+/// that token's lowercase form — except the one-token lemma, which replaces
+/// it. So when the token starts no alias ([`KnowledgeBase::is_alias_head`]),
+/// the one-token lemma is the only probe that can match, and the only one
+/// made.
 pub fn tag_entities(tokens: &TokenizedSentence, kb: &KnowledgeBase) -> Vec<Mention> {
-    let sentence_words: Vec<&str> = (0..tokens.len()).map(|i| tokens.lower_of(i)).collect();
     let max_window = kb.max_alias_tokens().max(1);
     let mut mentions = Vec::new();
     let mut scratch = String::new();
     let mut i = 0;
     while i < tokens.len() {
         let mut matched = false;
-        let upper = max_window.min(tokens.len() - i);
+        let is_head = kb.is_alias_head(tokens.lower_of(i));
+        let upper = if is_head {
+            max_window.min(tokens.len() - i)
+        } else {
+            1
+        };
         for w in (1..=upper).rev() {
             // The exact window is a contiguous slice of the sentence's
             // shared lowercase buffer — no allocation per probe. Only the
             // lemmatized retry writes (into a reused scratch buffer).
-            let exact = tokens.window_lower(i, i + w);
-            let mut candidates = kb.candidates(exact);
+            let mut candidates = if is_head {
+                kb.candidates(tokens.window_lower(i, i + w))
+            } else {
+                &[]
+            };
             if candidates.is_empty() {
                 if let Some(lemma) = lemma_window(tokens, i, i + w, &mut scratch) {
                     candidates = kb.candidates(lemma);
@@ -112,7 +126,7 @@ pub fn tag_entities(tokens: &TokenizedSentence, kb: &KnowledgeBase) -> Vec<Menti
             let resolved = match candidates {
                 [] => None,
                 [only] => Some(*only),
-                many => disambiguate(kb, many, &sentence_words),
+                many => disambiguate(kb, many, tokens),
             };
             if let Some(entity) = resolved {
                 mentions.push(Mention {
@@ -271,6 +285,48 @@ mod tests {
         };
         assert_eq!(m.head(), 3);
         assert!(m.covers(2) && m.covers(3) && !m.covers(4));
+    }
+
+    #[test]
+    fn deserialized_kb_tags_like_the_original_after_reindex() {
+        let mut b = KnowledgeBaseBuilder::new();
+        let city = b.add_type("city", &["city"], &["downtown"]);
+        let animal = b.add_type("animal", &["animal"], &["zoo"]);
+        // "New" and "Grizzly" start aliases but are not aliases themselves.
+        b.add_entity("New York", city).alias("NYC").finish();
+        b.add_entity("Phoenix", city).finish();
+        b.add_entity("Phoenix Bird", animal)
+            .alias("Phoenix")
+            .finish();
+        b.add_entity("Grizzly bear", animal).finish();
+        b.add_entity("Snake", animal).finish();
+        let kb = b.build();
+        assert!(kb.candidates("new").is_empty());
+
+        let json = serde_json::to_string(&kb).unwrap();
+        let raw: KnowledgeBase = serde_json::from_str(&json).unwrap();
+        let sentence = "New York and NYC have grizzly bears, snakes and Phoenix downtown";
+        // The derived indexes are skipped by serde: before the rebuild the
+        // knowledge base tags nothing.
+        assert!(tag(sentence, &raw).is_empty());
+        let back = raw.reindex();
+        let expected = tag(sentence, &kb);
+        assert_eq!(
+            expected.iter().map(|(s, _)| s.as_str()).collect::<Vec<_>>(),
+            ["New York", "NYC", "grizzly bears", "snakes", "Phoenix"]
+        );
+        assert_eq!(tag(sentence, &back), expected);
+    }
+
+    #[test]
+    fn non_head_tokens_still_link_by_lemma() {
+        // "cities" starts no alias, but its lemma "city" is one.
+        let mut b = KnowledgeBaseBuilder::new();
+        let t = b.add_type("thing", &["thing"], &[]);
+        b.add_entity("City", t).finish();
+        let kb = b.build();
+        assert!(!kb.is_alias_head("cities"));
+        assert_eq!(tag("I like cities", &kb).len(), 1);
     }
 
     #[test]

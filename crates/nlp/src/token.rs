@@ -130,12 +130,18 @@ impl TokenizedSentence {
     }
 
     /// Appends a token covering `start..end` of the sentence text, extending
-    /// the lowercase buffer without intermediate allocations.
+    /// the lowercase buffer without intermediate allocations. An ASCII span
+    /// (nearly every token) is copied and lowercased in place in one step;
+    /// any other span lowercases char by char.
     fn push_span(&mut self, start: usize, end: usize) {
         let lower_start = self.lower.len();
-        for ch in self.text[start..end].chars() {
-            for lc in ch.to_lowercase() {
-                self.lower.push(lc);
+        let span = &self.text[start..end];
+        if span.is_ascii() {
+            self.lower.push_str(span);
+            self.lower[lower_start..].make_ascii_lowercase();
+        } else {
+            for ch in span.chars() {
+                self.lower.extend(ch.to_lowercase());
             }
         }
         // Span offsets are stored as u32 to keep `Token` at 20 bytes; a
@@ -216,17 +222,15 @@ pub fn tokenize_with(trailing: &mut Vec<(usize, usize)>, sentence: &str) -> Toke
     let mut out = TokenizedSentence {
         text: sentence.to_owned(),
         lower: String::with_capacity(sentence.len() + 8),
-        tokens: Vec::new(),
+        // About one token per four bytes of English text, punctuation
+        // included: most sentences never regrow the vector.
+        tokens: Vec::with_capacity(sentence.len() / 4 + 1),
     };
-    let mut cursor = 0usize;
+    let origin = sentence.as_ptr() as usize;
     for raw in sentence.split_whitespace() {
-        // Locate this whitespace-delimited chunk in the sentence to keep
-        // byte spans exact.
-        let base = sentence[cursor..]
-            .find(raw)
-            .map(|i| cursor + i)
-            .unwrap_or(cursor);
-        cursor = base + raw.len();
+        // `split_whitespace` yields subslices of `sentence`, so a chunk's
+        // byte offset is its distance from the sentence start.
+        let base = raw.as_ptr() as usize - origin;
 
         // Peel leading punctuation.
         let mut word = raw;
@@ -267,8 +271,12 @@ pub fn tokenize_with(trailing: &mut Vec<(usize, usize)>, sentence: &str) -> Toke
 
 /// Pushes a word starting at byte `offset`, splitting negative contractions.
 fn push_word(out: &mut TokenizedSentence, word: &str, offset: usize) {
+    // Compared as bytes: the last three bytes of a non-ASCII word need not
+    // start on a char boundary, and `n't` is ASCII, so a match always
+    // leaves the stem on one.
+    let bytes = word.as_bytes();
     let is_negative_contraction =
-        word.len() >= 3 && word[word.len() - 3..].eq_ignore_ascii_case("n't");
+        bytes.len() >= 3 && bytes[bytes.len() - 3..].eq_ignore_ascii_case(b"n't");
     if is_negative_contraction {
         // don't -> do + n't; isn't -> is + n't; can't -> ca + n't (as in PTB).
         let stem_len = word.len() - 3;
@@ -285,8 +293,15 @@ fn push_word(out: &mut TokenizedSentence, word: &str, offset: usize) {
 /// endings. Conservative by design — the entity tagger tries the exact form
 /// first.
 pub fn singularize(lower: &str) -> Option<String> {
+    singular_parts(lower).map(|(stem, suffix)| format!("{stem}{suffix}"))
+}
+
+/// [`singularize`] without the allocation: the singular is `stem` followed
+/// by `suffix` (`"cities"` → `("cit", "y")`), so a caller can write it into
+/// a buffer it already owns.
+pub(crate) fn singular_parts(lower: &str) -> Option<(&str, &'static str)> {
     if lower.len() > 3 && lower.ends_with("ies") {
-        return Some(format!("{}y", &lower[..lower.len() - 3]));
+        return Some((&lower[..lower.len() - 3], "y"));
     }
     if lower.len() > 3
         && (lower.ends_with("ses")
@@ -295,10 +310,10 @@ pub fn singularize(lower: &str) -> Option<String> {
             || lower.ends_with("ches")
             || lower.ends_with("shes"))
     {
-        return Some(lower[..lower.len() - 2].to_owned());
+        return Some((&lower[..lower.len() - 2], ""));
     }
     if lower.len() > 2 && lower.ends_with('s') && !lower.ends_with("ss") {
-        return Some(lower[..lower.len() - 1].to_owned());
+        return Some((&lower[..lower.len() - 1], ""));
     }
     None
 }
@@ -421,6 +436,31 @@ mod tests {
         assert_eq!(toks, back);
         assert_eq!(back.sentence(), "Kittens aren't ugly");
         assert_eq!(back.lower_of(1), "are");
+    }
+
+    #[test]
+    fn non_ascii_words_do_not_panic() {
+        // The last three bytes of "éé" split a char; the contraction check
+        // must not slice there.
+        let toks = tokenize("éé is big");
+        assert_eq!(texts(&toks), vec!["éé", "is", "big"]);
+        let toks = tokenize("Ça n’est pas… «Grüße» ÉTÉ");
+        for i in 0..toks.len() {
+            assert_eq!(toks.lower_of(i), toks.text_of(i).to_lowercase());
+        }
+        assert_eq!(toks.lower_of(toks.len() - 1), "été");
+    }
+
+    #[test]
+    fn spans_follow_unicode_whitespace() {
+        // NBSP and ideographic space separate words; offsets stay exact.
+        let sentence = "big\u{a0}city\u{3000}is  nice";
+        let toks = tokenize(sentence);
+        assert_eq!(texts(&toks), vec!["big", "city", "is", "nice"]);
+        for i in 0..toks.len() {
+            let (from, to) = toks[i].span();
+            assert_eq!(&sentence[from..to], toks.text_of(i));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! structural invariants on arbitrary word soup, and polarity parity.
 
 use proptest::prelude::*;
-use surveyor_nlp::token::singularize;
+use surveyor_nlp::token::{singularize, split_sentence_bounds};
 use surveyor_nlp::{parse, split_sentences, tokenize, Lexicon};
 
 /// Arbitrary "words" drawn from a mix of real vocabulary and noise.
@@ -27,8 +27,68 @@ fn word_strategy() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Text fragments beyond ASCII: multibyte letters (some ending a word on
+/// a multibyte char, some lowercasing to a different byte length), emoji,
+/// a curly apostrophe, punctuation and terminators, and Unicode whitespace
+/// (NBSP, U+3000) alongside plain spaces.
+fn unicode_fragment() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("é"),
+        Just("É"),
+        Just("ß"),
+        Just("ï"),
+        Just("Ïs"),
+        Just("İ"),
+        Just("😀"),
+        Just("’"),
+        Just("n’t"),
+        Just("n't"),
+        Just("don't"),
+        Just("big"),
+        Just("Cities"),
+        Just("a"),
+        Just("'"),
+        Just(","),
+        Just("."),
+        Just("?"),
+        Just("("),
+        Just(" "),
+        Just(" "),
+        Just("\u{a0}"),
+        Just("\u{3000}"),
+    ]
+}
+
+/// Sentences glued from [`unicode_fragment`]s.
+fn unicode_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(unicode_fragment(), 0..24).prop_map(|parts| parts.concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn tokenizer_handles_non_ascii_text(text in unicode_text()) {
+        let tokens = tokenize(&text);
+        let mut previous_end = 0;
+        for i in 0..tokens.len() {
+            let (from, to) = tokens[i].span();
+            prop_assert!(text.is_char_boundary(from) && text.is_char_boundary(to), "{text:?}");
+            prop_assert!(previous_end <= from && from < to, "{text:?}");
+            previous_end = to;
+            prop_assert_eq!(&text[from..to], tokens.text_of(i));
+            prop_assert_eq!(tokens.lower_of(i).to_owned(), tokens.text_of(i).to_lowercase());
+        }
+        let mut bounds = Vec::new();
+        split_sentence_bounds(&text, &mut bounds);
+        for &(from, to) in &bounds {
+            let sentence = &text[from..to];
+            prop_assert!(!sentence.is_empty(), "{text:?}");
+            prop_assert_eq!(sentence, sentence.trim());
+            let tokens = tokenize(sentence);
+            prop_assert!(!tokens.is_empty(), "{sentence:?}");
+        }
+    }
 
     #[test]
     fn tokenizer_never_produces_empty_tokens(words in prop::collection::vec(word_strategy(), 0..20)) {

@@ -203,3 +203,34 @@ fn corrupting_any_single_byte_is_an_error_or_the_same_world() {
     // And the unmodified bytes still decode after all that cloning.
     assert!(load_snapshot(&bytes).is_ok());
 }
+
+#[test]
+fn cities_snapshot_matches_the_committed_artifact() {
+    // The mine `scripts/verify.sh` snapshots: the `cities` preset at seed
+    // 5, rho 40, over 2 shards. Its bytes are pinned by the committed
+    // `artifacts/world.swire`, so any change to how a mine is built or
+    // encoded that moves a single byte fails here.
+    let world = surveyor_corpus::presets::big_cities_world(5);
+    let kb = world.kb().clone();
+    let generator = CorpusGenerator::new(
+        world,
+        CorpusConfig {
+            num_shards: 2,
+            ..CorpusConfig::default()
+        },
+    );
+    let surveyor = Surveyor::new(
+        kb,
+        SurveyorConfig {
+            rho: 40,
+            ..SurveyorConfig::default()
+        },
+    );
+    let output = surveyor.run(&CorpusSource::new(&generator));
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../artifacts/world.swire");
+    let committed = std::fs::read(path).expect("committed snapshot is readable");
+    assert!(
+        save_snapshot(&output) == committed,
+        "cities/seed 5 snapshot differs from artifacts/world.swire"
+    );
+}
